@@ -26,6 +26,8 @@
 using namespace ap;
 using namespace ap::core;
 using namespace ap::rt;
+using obs::Better;
+using obs::MetricClass;
 
 namespace
 {
@@ -104,9 +106,12 @@ main(int argc, char **argv)
                     "cells%d.arrays%d.%s", cells, arrays,
                     pol == AckPolicy::every_put ? "every_put"
                                                 : "last_put");
-                report.set(k + ".sim_us", r.simUs);
-                report.set(k + ".ack_probes", r.probes);
-                report.set(k + ".tnet_messages", r.messages);
+                report.set(k + ".sim_us", r.simUs, "us",
+                           MetricClass::sim, Better::lower);
+                report.set(k + ".ack_probes", r.probes, "count",
+                           MetricClass::count, Better::lower);
+                report.set(k + ".tnet_messages", r.messages, "count",
+                           MetricClass::count, Better::lower);
                 t.add_row(
                     {strprintf("%d", cells),
                      strprintf("%d", arrays),

@@ -19,6 +19,8 @@
 
 using namespace ap;
 using namespace ap::core;
+using obs::Better;
+using obs::MetricClass;
 
 namespace
 {
@@ -92,10 +94,14 @@ main(int argc, char **argv)
                                  r.maxBacklog))});
 
         std::string k = strprintf("words%d", words);
-        report.set(k + ".sim_us", r.simUs);
-        report.set(k + ".spills", r.spills);
-        report.set(k + ".refill_interrupts", r.refills);
-        report.set(k + ".max_dram_backlog", r.maxBacklog);
+        report.set(k + ".sim_us", r.simUs, "us", MetricClass::sim,
+                   Better::lower);
+        report.set(k + ".spills", r.spills, "count", MetricClass::count,
+                   Better::lower);
+        report.set(k + ".refill_interrupts", r.refills, "count",
+                   MetricClass::count, Better::lower);
+        report.set(k + ".max_dram_backlog", r.maxBacklog, "count",
+                   MetricClass::count, Better::lower);
     }
     t.print();
 

@@ -19,6 +19,8 @@
 
 using namespace ap;
 using namespace ap::core;
+using obs::Better;
+using obs::MetricClass;
 
 namespace
 {
@@ -102,8 +104,10 @@ main(int argc, char **argv)
             std::string k =
                 strprintf("span%u.%s", span,
                           cached ? "wt_page_cache" : "remote_reads");
-            report.set(k + ".sim_us", r.simUs);
-            report.set(k + ".tnet_messages", r.messages);
+            report.set(k + ".sim_us", r.simUs, "us", MetricClass::sim,
+                       Better::lower);
+            report.set(k + ".tnet_messages", r.messages, "count",
+                       MetricClass::count, Better::lower);
             t.add_row({strprintf("%u", span),
                        strprintf("%u", span / 4096),
                        cached ? "wt-page cache" : "remote reads",

@@ -15,6 +15,8 @@
 #include "obs/cli.hh"
 
 using namespace ap::mlsim;
+using ap::obs::Better;
+using ap::obs::MetricClass;
 
 namespace
 {
@@ -47,8 +49,10 @@ main(int argc, char **argv)
         std::fputc('\n', stdout);
 
         std::string k = key(p.name);
-        report.set(k + ".computation_factor", p.computation_factor);
-        report.set(k + ".put_dma_set_time", p.put_dma_set_time);
+        report.set(k + ".computation_factor", p.computation_factor, "x",
+                   MetricClass::sim, Better::lower);
+        report.set(k + ".put_dma_set_time", p.put_dma_set_time, "us",
+                   MetricClass::sim, Better::lower);
     }
 
     // Round-trip self-check: the printed files parse back to the
@@ -63,6 +67,7 @@ main(int argc, char **argv)
         }
     }
     std::printf("# round-trip check passed\n");
-    report.set("round_trip_ok", std::uint64_t{1});
+    report.set("round_trip_ok", std::uint64_t{1}, "count",
+               MetricClass::count, Better::higher);
     return report.write() ? 0 : 1;
 }

@@ -26,6 +26,8 @@
 using namespace ap;
 using namespace ap::core;
 using namespace ap::mlsim;
+using obs::Better;
+using obs::MetricClass;
 
 namespace
 {
@@ -95,14 +97,18 @@ main(int argc, char **argv)
                    Table::num(m.issueUs), Table::num(m.deliveredUs)});
 
         std::string k = strprintf("bytes%u", bytes);
-        report.set(k + ".sw_send_us", sw.put_send_overhead(bytes));
-        report.set(k + ".sw_recv_us",
-                   sw.recv_interrupt_overhead(bytes));
-        report.set(k + ".hw_send_us", hw.put_send_overhead(bytes));
-        report.set(k + ".hw_recv_us",
-                   hw.recv_interrupt_overhead(bytes));
-        report.set(k + ".measured_issue_us", m.issueUs);
-        report.set(k + ".measured_deliver_us", m.deliveredUs);
+        report.set(k + ".sw_send_us", sw.put_send_overhead(bytes), "us",
+                   MetricClass::sim, Better::lower);
+        report.set(k + ".sw_recv_us", sw.recv_interrupt_overhead(bytes),
+                   "us", MetricClass::sim, Better::lower);
+        report.set(k + ".hw_send_us", hw.put_send_overhead(bytes), "us",
+                   MetricClass::sim, Better::lower);
+        report.set(k + ".hw_recv_us", hw.recv_interrupt_overhead(bytes),
+                   "us", MetricClass::sim, Better::lower);
+        report.set(k + ".measured_issue_us", m.issueUs, "us",
+                   MetricClass::sim, Better::lower);
+        report.set(k + ".measured_deliver_us", m.deliveredUs, "us",
+                   MetricClass::sim, Better::lower);
     }
     t.print();
 

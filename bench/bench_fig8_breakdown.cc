@@ -22,6 +22,8 @@
 using namespace ap;
 using namespace ap::apps;
 using namespace ap::mlsim;
+using obs::Better;
+using obs::MetricClass;
 
 namespace
 {
@@ -100,12 +102,16 @@ main(int argc, char **argv)
                        bar(total)});
 
             std::string k = key(name) + "." + jkey;
-            report.set(k + ".total_pct", total);
-            report.set(k + ".exec_pct", m.execUs / norm * 100.0);
-            report.set(k + ".rts_pct", m.rtsUs / norm * 100.0);
-            report.set(k + ".overhead_pct",
-                       m.overheadUs / norm * 100.0);
-            report.set(k + ".idle_pct", m.idleUs / norm * 100.0);
+            report.set(k + ".total_pct", total, "%", MetricClass::sim,
+                       Better::lower);
+            report.set(k + ".exec_pct", m.execUs / norm * 100.0, "%",
+                       MetricClass::sim, Better::lower);
+            report.set(k + ".rts_pct", m.rtsUs / norm * 100.0, "%",
+                       MetricClass::sim, Better::lower);
+            report.set(k + ".overhead_pct", m.overheadUs / norm * 100.0,
+                       "%", MetricClass::sim, Better::lower);
+            report.set(k + ".idle_pct", m.idleUs / norm * 100.0, "%",
+                       MetricClass::sim, Better::lower);
         }
     }
     t.print();

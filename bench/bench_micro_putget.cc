@@ -37,6 +37,8 @@
 
 using namespace ap;
 using namespace ap::core;
+using obs::Better;
+using obs::MetricClass;
 
 namespace
 {
@@ -224,13 +226,17 @@ run_profile_pass(const std::string &profileOut,
         std::printf("span Chrome trace written to %s\n",
                     spanTraceOut.c_str());
     }
-    report.set("profile.coverage", rep.coverage());
+    report.set("profile.coverage", rep.coverage(), "fraction",
+               MetricClass::sim, Better::higher);
     report.set("profile.put_coverage",
-               rep.op_coverage(obs::SpanOp::put));
-    report.set("profile.traces", rep.traces);
-    report.set("profile.events", rep.events);
-    report.set("profile.end_to_end_us",
-               ticks_to_us(rep.endToEndTicks));
+               rep.op_coverage(obs::SpanOp::put), "fraction",
+               MetricClass::sim, Better::higher);
+    report.set("profile.traces", rep.traces, "count",
+               MetricClass::count, Better::higher);
+    report.set("profile.events", rep.events, "count",
+               MetricClass::count, Better::lower);
+    report.set("profile.end_to_end_us", ticks_to_us(rep.endToEndTicks),
+               "us", MetricClass::sim, Better::lower);
 }
 
 /**
@@ -274,11 +280,14 @@ run_speed_pass(obs::BenchReport &report)
     }
     double wall =
         std::chrono::duration<double>(Clock::now() - t0).count();
-    report.set("speed.wall_s", wall);
+    report.set("speed.wall_s", wall, "s", MetricClass::host,
+               Better::lower);
     report.set("speed.events_per_sec",
-               static_cast<double>(events) / wall);
+               static_cast<double>(events) / wall, "event/s",
+               MetricClass::host, Better::higher);
     report.set("speed.put_ops_per_sec",
-               static_cast<double>(reps) * count / wall);
+               static_cast<double>(reps) * count / wall, "op/s",
+               MetricClass::host, Better::higher);
     std::printf("\n-- speed: %d x %d x %u B PUT, %.3f s, "
                 "%.2fM events/s --\n",
                 reps, count, bytes, wall,
@@ -296,9 +305,12 @@ run_speed_pass(obs::BenchReport &report)
     auto [miss1, heap1, pay1] = allocAt();
     burst(m);
     auto [miss2, heap2, pay2] = allocAt();
-    report.set("alloc.steady_pool_miss_delta", miss2 - miss1);
-    report.set("alloc.steady_fn_heap_delta", heap2 - heap1);
-    report.set("alloc.steady_payload_miss_delta", pay2 - pay1);
+    report.set("alloc.steady_pool_miss_delta", miss2 - miss1, "count",
+               MetricClass::count, Better::lower);
+    report.set("alloc.steady_fn_heap_delta", heap2 - heap1, "count",
+               MetricClass::count, Better::lower);
+    report.set("alloc.steady_payload_miss_delta", pay2 - pay1, "count",
+               MetricClass::count, Better::lower);
     std::printf("-- steady-state alloc deltas: pool_miss=%llu "
                 "fn_heap=%llu payload_miss=%llu --\n",
                 static_cast<unsigned long long>(miss2 - miss1),

@@ -23,6 +23,8 @@
 
 using namespace ap;
 using namespace ap::core;
+using obs::Better;
+using obs::MetricClass;
 
 namespace
 {
@@ -131,9 +133,12 @@ main(int argc, char **argv)
             std::string k =
                 strprintf("rel_%s.drop%d", reliable ? "on" : "off",
                           static_cast<int>(drop * 100));
-            report.set(k + ".put_us", r.latencyUs);
-            report.set(k + ".stream_mb_s", r.bandwidthMBs);
-            report.set(k + ".retransmits", r.retransmits);
+            report.set(k + ".put_us", r.latencyUs, "us",
+                       MetricClass::sim, Better::lower);
+            report.set(k + ".stream_mb_s", r.bandwidthMBs, "MB/s",
+                       MetricClass::sim, Better::higher);
+            report.set(k + ".retransmits", r.retransmits, "count",
+                       MetricClass::count, Better::lower);
             t.add_row({reliable ? "on" : "off",
                        Table::num(drop * 100, 0), r.mechanism,
                        Table::num(r.latencyUs, 2),

@@ -42,6 +42,8 @@
 
 using namespace ap;
 using namespace ap::sim;
+using obs::Better;
+using obs::MetricClass;
 
 namespace
 {
@@ -203,10 +205,14 @@ main(int argc, char **argv)
 
             std::string k = strprintf("s%dx%d.t%d", side, side,
                                       threads);
-            report.set(k + ".events", r.events);
-            report.set(k + ".wall_s", r.seconds);
-            report.set(k + ".events_per_sec", eps);
-            report.set(k + ".speedup_vs_t1", speedup);
+            report.set(k + ".events", r.events, "count",
+                       MetricClass::count, Better::lower);
+            report.set(k + ".wall_s", r.seconds, "s", MetricClass::host,
+                       Better::lower);
+            report.set(k + ".events_per_sec", eps, "event/s",
+                       MetricClass::host, Better::higher);
+            report.set(k + ".speedup_vs_t1", speedup, "x",
+                       MetricClass::host, Better::higher);
         }
     }
 
@@ -254,10 +260,13 @@ main(int argc, char **argv)
                                            wallUsPerWin)});
                 std::string k = strprintf("window_batch.s%dx%d.t%d",
                                           side, side, threads);
-                report.set(k + ".events_per_window", eventsPerWin);
-                report.set(k + ".wall_us_per_window", wallUsPerWin);
+                report.set(k + ".events_per_window", eventsPerWin,
+                           "count", MetricClass::count, Better::higher);
+                report.set(k + ".wall_us_per_window", wallUsPerWin,
+                           "us", MetricClass::host, Better::lower);
                 report.set(k + ".overhead_us_per_window",
-                           overheadUsPerWin);
+                           overheadUsPerWin, "us", MetricClass::host,
+                           Better::lower);
             }
         }
         wt.print();

@@ -27,6 +27,8 @@
 using namespace ap;
 using namespace ap::apps;
 using namespace ap::mlsim;
+using obs::Better;
+using obs::MetricClass;
 
 int
 main(int argc, char **argv)
@@ -57,8 +59,10 @@ main(int argc, char **argv)
         // Tenths of a us keep the segment free of '.' separators.
         std::string k = strprintf("dma_sweep.dma_us_x10_%d",
                                   static_cast<int>(dma * 10 + 0.5));
-        report.set(k + ".speedup", s);
-        report.set(k + ".fraction_of_paper", s / 11.55);
+        report.set(k + ".speedup", s, "x", MetricClass::sim,
+                   Better::higher);
+        report.set(k + ".fraction_of_paper", s / 11.55, "x",
+                   MetricClass::sim, Better::higher);
     }
     t1.print();
     std::printf("\nAt the paper's 0.5 us the hardware keeps its full "
@@ -90,9 +94,12 @@ main(int argc, char **argv)
                     Table::num(t_sw / t_hw, 2)});
 
         std::string k = strprintf("cpu_sweep.x%.0f", speed);
-        report.set(k + ".hw_speedup", scg_base / t_hw);
-        report.set(k + ".sw_speedup", scg_base / t_sw);
-        report.set(k + ".hw_over_sw", t_sw / t_hw);
+        report.set(k + ".hw_speedup", scg_base / t_hw, "x",
+                   MetricClass::sim, Better::higher);
+        report.set(k + ".sw_speedup", scg_base / t_sw, "x",
+                   MetricClass::sim, Better::higher);
+        report.set(k + ".hw_over_sw", t_sw / t_hw, "x",
+                   MetricClass::sim, Better::higher);
     }
     t2.print();
     std::printf("\nSoftware handling saturates (Amdahl on the fixed "

@@ -32,6 +32,8 @@
 #include "serve/scheduler.hh"
 
 using namespace ap;
+using obs::Better;
+using obs::MetricClass;
 
 namespace
 {
@@ -198,26 +200,40 @@ main(int argc, char **argv)
                    strprintf("%.3f", o.wallS)});
 
         std::string k = sc.name;
-        report.set(k + ".jobs",
-                   static_cast<std::uint64_t>(sc.jobs));
-        report.set(k + ".completed", o.tot.completed);
+        report.set(k + ".jobs", static_cast<std::uint64_t>(sc.jobs),
+                   "count", MetricClass::count, Better::higher);
+        report.set(k + ".completed", o.tot.completed, "count",
+                   MetricClass::count, Better::higher);
         report.set(k + ".shed",
-                   o.tot.shedQueueFull + o.tot.shedTooLarge);
-        report.set(k + ".failed", o.tot.failedTerminal);
-        report.set(k + ".starved", o.tot.starved);
-        report.set(k + ".deadline_cancelled",
-                   o.tot.deadlineCancelled);
-        report.set(k + ".retries", o.tot.retried);
-        report.set(k + ".attempts_killed", o.tot.attemptsKilled);
+                   o.tot.shedQueueFull + o.tot.shedTooLarge, "count",
+                   MetricClass::count, Better::lower);
+        report.set(k + ".failed", o.tot.failedTerminal, "count",
+                   MetricClass::count, Better::lower);
+        report.set(k + ".starved", o.tot.starved, "count",
+                   MetricClass::count, Better::lower);
+        report.set(k + ".deadline_cancelled", o.tot.deadlineCancelled,
+                   "count", MetricClass::count, Better::lower);
+        report.set(k + ".retries", o.tot.retried, "count",
+                   MetricClass::count, Better::lower);
+        report.set(k + ".attempts_killed", o.tot.attemptsKilled,
+                   "count", MetricClass::count, Better::lower);
         report.set(k + ".partitions_quarantined",
-                   o.tot.partitionsQuarantined);
-        report.set(k + ".makespan_us", o.makespanUs);
-        report.set(k + ".mean_latency_us", o.meanLatencyUs);
-        report.set(k + ".p95_latency_us", o.p95LatencyUs);
-        report.set(k + ".jobs_per_sec", o.jobsPerSec);
-        report.set(k + ".util_pct", o.utilization * 100.0);
-        report.set(k + ".fairness_x1000", o.fairness * 1000.0);
-        report.set(k + ".wall_s", o.wallS);
+                   o.tot.partitionsQuarantined, "count",
+                   MetricClass::count, Better::lower);
+        report.set(k + ".makespan_us", o.makespanUs, "us",
+                   MetricClass::sim, Better::lower);
+        report.set(k + ".mean_latency_us", o.meanLatencyUs, "us",
+                   MetricClass::sim, Better::lower);
+        report.set(k + ".p95_latency_us", o.p95LatencyUs, "us",
+                   MetricClass::sim, Better::lower);
+        report.set(k + ".jobs_per_sec", o.jobsPerSec, "job/s",
+                   MetricClass::sim, Better::higher);
+        report.set(k + ".util_pct", o.utilization * 100.0, "%",
+                   MetricClass::sim, Better::higher);
+        report.set(k + ".fairness_x1000", o.fairness * 1000.0, "x1000",
+                   MetricClass::sim, Better::higher);
+        report.set(k + ".wall_s", o.wallS, "s", MetricClass::host,
+                   Better::lower);
     }
 
     t.print();

@@ -58,6 +58,8 @@
 
 using namespace ap;
 using namespace ap::core;
+using obs::Better;
+using obs::MetricClass;
 
 namespace
 {
@@ -132,8 +134,11 @@ void
 report_sweep(obs::BenchReport &report, const model::SweepData &d)
 {
     for (const model::SweepPoint &p : d.points)
-        for (const auto &[mname, v] : p.metrics)
-            report.set(d.sweep + "." + x_key(p.x) + "." + mname, v);
+        for (const auto &[mname, v] : p.metrics) {
+            const obs::MetricMeta &m = d.meta_of(mname);
+            report.set(d.sweep + "." + x_key(p.x) + "." + mname, v,
+                       m.unit, m.cls, m.better);
+        }
 }
 
 // ---------------------------------------------------------------
@@ -190,6 +195,9 @@ run_putlat(bool quick)
     d.bench = "micro_putget";
     d.param = "bytes";
     d.unit = "B";
+    d.meta["issue_us"] = {"us", MetricClass::sim, Better::lower};
+    d.meta["deliver_us"] = {"us", MetricClass::sim, Better::lower};
+    d.meta["mb_s"] = {"MB/s", MetricClass::sim, Better::higher};
     const std::vector<std::uint32_t> sizes =
         quick ? std::vector<std::uint32_t>{64, 1024, 16384}
               : std::vector<std::uint32_t>{64, 256, 1024, 4096,
@@ -228,6 +236,7 @@ run_hops(bool quick)
     d.bench = "micro_putget";
     d.param = "hops";
     d.unit = "hops";
+    d.meta["deliver_us"] = {"us", MetricClass::sim, Better::lower};
     constexpr std::uint32_t bytes = 256;
     const std::vector<int> hopList =
         quick ? std::vector<int>{1, 2, 4, 8}
@@ -344,6 +353,9 @@ run_cells(bool quick)
     d.bench = "bench_scale";
     d.param = "cells";
     d.unit = "cells";
+    d.meta["events"] = {"count", MetricClass::count, Better::lower};
+    d.meta["events_per_sec"] = {"event/s", MetricClass::host,
+                                Better::higher};
     // Quick thins the sides but keeps the horizon, so every quick
     // point is an exact re-measurement of a full-sweep point.
     const std::vector<int> sides =
@@ -371,6 +383,11 @@ run_threads(bool quick)
     d.bench = "bench_scale";
     d.param = "threads";
     d.unit = "workers";
+    d.meta["events"] = {"count", MetricClass::count, Better::lower};
+    d.meta["events_per_sec"] = {"event/s", MetricClass::host,
+                                Better::higher};
+    // A ratio of two host wall-clock rates.
+    d.meta["speedup"] = {"x", MetricClass::host, Better::higher};
     constexpr int side = 16;
     const std::vector<int> threadCounts =
         quick ? std::vector<int>{1, 2, 4}
@@ -405,6 +422,10 @@ run_droprate(bool quick)
     d.bench = "reliable_overhead";
     d.param = "drop_pct";
     d.unit = "%";
+    d.meta["put_us"] = {"us", MetricClass::sim, Better::lower};
+    d.meta["stream_mb_s"] = {"MB/s", MetricClass::sim, Better::higher};
+    d.meta["retransmits"] = {"count", MetricClass::count,
+                             Better::lower};
     const std::vector<double> drops =
         quick ? std::vector<double>{0.5, 2.0, 8.0}
               : std::vector<double>{0.5, 1.0, 2.0, 4.0, 8.0};
@@ -470,9 +491,13 @@ run_serve(bool quick)
     d.bench = "bench_serve";
     d.param = "arrival_us";
     d.unit = "us";
-    // Derived from the simulated makespan, so exactly reproducible:
-    // tight sim envelope, not the host shape gate the name implies.
-    d.classes["jobs_per_sec"] = model::MetricClass::sim;
+    d.meta["completed"] = {"count", MetricClass::count,
+                           Better::higher};
+    // Derived from the simulated makespan, so exactly reproducible.
+    d.meta["jobs_per_sec"] = {"job/s", MetricClass::sim,
+                              Better::higher};
+    d.meta["mean_latency_us"] = {"us", MetricClass::sim, Better::lower};
+    d.meta["p95_latency_us"] = {"us", MetricClass::sim, Better::lower};
     const std::vector<double> arrivals =
         quick ? std::vector<double>{100.0, 400.0, 1600.0}
               : std::vector<double>{100.0, 200.0, 400.0, 800.0,
@@ -741,13 +766,16 @@ run_calibration(bool quick, obs::BenchReport &report)
                    strprintf("%.3f", r.derived),
                    strprintf("%+.0f", drift), r.how});
         std::string k = strprintf("calib.%s", r.param);
-        report.set(k + ".hand", r.hand);
-        report.set(k + ".derived", r.derived);
-        report.set(k + ".drift_pct", drift);
+        report.set(k + ".hand", r.hand, "us", MetricClass::sim,
+                   Better::lower);
+        report.set(k + ".derived", r.derived, "us", MetricClass::sim,
+                   Better::lower);
+        report.set(k + ".drift_pct", drift, "%", MetricClass::sim,
+                   Better::lower);
     }
     t.print();
-    report.set("calib.params",
-               static_cast<std::uint64_t>(rows.size()));
+    report.set("calib.params", static_cast<std::uint64_t>(rows.size()),
+               "count", MetricClass::count, Better::higher);
 
     // Calibrated parameter file: the derived values dropped into the
     // AP1000+ model (negative fit artifacts clamped at zero cost).
@@ -780,13 +808,15 @@ run_calibration(bool quick, obs::BenchReport &report)
              strprintf("%.2f", calibModel.network(1, bytes))});
         std::string k = strprintf("calib.fig7.b%u", bytes);
         report.set(k + ".send_us_hand",
-                   handModel.put_send_overhead(bytes));
+                   handModel.put_send_overhead(bytes), "us",
+                   MetricClass::sim, Better::lower);
         report.set(k + ".send_us_calib",
-                   calibModel.put_send_overhead(bytes));
-        report.set(k + ".net_us_hand",
-                   handModel.network(1, bytes));
-        report.set(k + ".net_us_calib",
-                   calibModel.network(1, bytes));
+                   calibModel.put_send_overhead(bytes), "us",
+                   MetricClass::sim, Better::lower);
+        report.set(k + ".net_us_hand", handModel.network(1, bytes),
+                   "us", MetricClass::sim, Better::lower);
+        report.set(k + ".net_us_calib", calibModel.network(1, bytes),
+                   "us", MetricClass::sim, Better::lower);
     }
     f.print();
 
@@ -821,9 +851,12 @@ run_calibration(bool quick, obs::BenchReport &report)
         for (char &c : k)
             if (!std::isalnum(static_cast<unsigned char>(c)))
                 c = '_';
-        report.set("calib.table2." + k + ".speedup_hand", sHand);
-        report.set("calib.table2." + k + ".speedup_calib", sCalib);
-        report.set("calib.table2." + k + ".delta_pct", delta);
+        report.set("calib.table2." + k + ".speedup_hand", sHand, "x",
+                   MetricClass::sim, Better::higher);
+        report.set("calib.table2." + k + ".speedup_calib", sCalib, "x",
+                   MetricClass::sim, Better::higher);
+        report.set("calib.table2." + k + ".delta_pct", delta, "%",
+                   MetricClass::sim, Better::higher);
     }
     s.print();
     std::printf("\n");
@@ -914,7 +947,8 @@ main(int argc, char **argv)
         }
         ++ran;
     }
-    report.set("sweeps_run", static_cast<std::uint64_t>(ran));
+    report.set("sweeps_run", static_cast<std::uint64_t>(ran), "count",
+               MetricClass::count, Better::higher);
 
     if (calibrate)
         run_calibration(quick, report);

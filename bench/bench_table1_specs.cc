@@ -15,6 +15,8 @@
 
 using namespace ap;
 using namespace ap::hw;
+using obs::Better;
+using obs::MetricClass;
 
 int
 main(int argc, char **argv)
@@ -68,18 +70,29 @@ main(int argc, char **argv)
     std::printf("  PUT issue                 8 stores = %.2f us\n",
                 lo.timings.enqueueUs);
 
-    report.set("clock_mhz", lo.clockMhz);
-    report.set("mflops_per_cell", lo.mflopsPerCell);
+    report.set("clock_mhz", lo.clockMhz, "MHz", MetricClass::sim,
+               Better::higher);
+    report.set("mflops_per_cell", lo.mflopsPerCell, "MFLOPS",
+               MetricClass::sim, Better::higher);
     report.set("cache_kbytes",
-               static_cast<std::uint64_t>(lo.cacheBytes / 1024));
-    report.set("cells_min", static_cast<std::uint64_t>(lo.cells));
-    report.set("cells_max", static_cast<std::uint64_t>(hi.cells));
-    report.set("system_gflops_min", lo.system_gflops());
-    report.set("system_gflops_max", hi.system_gflops());
+               static_cast<std::uint64_t>(lo.cacheBytes / 1024), "KB",
+               MetricClass::count, Better::higher);
+    report.set("cells_min", static_cast<std::uint64_t>(lo.cells),
+               "count", MetricClass::count, Better::higher);
+    report.set("cells_max", static_cast<std::uint64_t>(hi.cells),
+               "count", MetricClass::count, Better::higher);
+    report.set("system_gflops_min", lo.system_gflops(), "GFLOPS",
+               MetricClass::sim, Better::higher);
+    report.set("system_gflops_max", hi.system_gflops(), "GFLOPS",
+               MetricClass::sim, Better::higher);
     report.set("queue_capacity_words",
-               static_cast<std::uint64_t>(lo.queueCapacityWords));
-    report.set("tnet_mbytes_per_s", 1.0 / lo.tnet.perByteUs);
-    report.set("bnet_mbytes_per_s", 1.0 / lo.bnet.perByteUs);
-    report.set("put_issue_us", lo.timings.enqueueUs);
+               static_cast<std::uint64_t>(lo.queueCapacityWords),
+               "words", MetricClass::count, Better::higher);
+    report.set("tnet_mbytes_per_s", 1.0 / lo.tnet.perByteUs, "MB/s",
+               MetricClass::sim, Better::higher);
+    report.set("bnet_mbytes_per_s", 1.0 / lo.bnet.perByteUs, "MB/s",
+               MetricClass::sim, Better::higher);
+    report.set("put_issue_us", lo.timings.enqueueUs, "us",
+               MetricClass::sim, Better::lower);
     return report.write() ? 0 : 1;
 }

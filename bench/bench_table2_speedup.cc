@@ -21,6 +21,8 @@
 using namespace ap;
 using namespace ap::apps;
 using namespace ap::mlsim;
+using obs::Better;
+using obs::MetricClass;
 
 namespace
 {
@@ -79,14 +81,18 @@ main(int argc, char **argv)
 
         std::string k = key(app->info().name);
         report.set(k + ".cells",
-                   static_cast<std::uint64_t>(app->info().cells));
-        report.set(k + ".speedup_plus", t_base / t_plus);
-        report.set(k + ".speedup_fast", t_base / t_fast);
-        report.set(k + ".paper_speedup_plus",
-                   app->paper_speedup_plus());
-        report.set(k + ".paper_speedup_fast",
-                   app->paper_speedup_fast());
-        report.set(k + ".t_ap1000_us", t_base);
+                   static_cast<std::uint64_t>(app->info().cells),
+                   "count", MetricClass::count, Better::higher);
+        report.set(k + ".speedup_plus", t_base / t_plus, "x",
+                   MetricClass::sim, Better::higher);
+        report.set(k + ".speedup_fast", t_base / t_fast, "x",
+                   MetricClass::sim, Better::higher);
+        report.set(k + ".paper_speedup_plus", app->paper_speedup_plus(),
+                   "x", MetricClass::sim, Better::higher);
+        report.set(k + ".paper_speedup_fast", app->paper_speedup_fast(),
+                   "x", MetricClass::sim, Better::higher);
+        report.set(k + ".t_ap1000_us", t_base, "us", MetricClass::sim,
+                   Better::lower);
     }
     t.print();
     std::printf("\nAP1000* = AP1000 with the SPARC replaced by a "

@@ -17,6 +17,8 @@
 
 using namespace ap;
 using namespace ap::apps;
+using obs::Better;
+using obs::MetricClass;
 
 namespace
 {
@@ -68,16 +70,26 @@ main(int argc, char **argv)
                    pair_cell(m.msgSize, p.msgSize)});
 
         std::string k = key(app->info().name);
-        report.set(k + ".pe", static_cast<std::uint64_t>(m.pe));
-        report.set(k + ".send", m.send);
-        report.set(k + ".gop", m.gop);
-        report.set(k + ".vgop", m.vgop);
-        report.set(k + ".sync", m.sync);
-        report.set(k + ".put", m.put);
-        report.set(k + ".puts", m.puts);
-        report.set(k + ".get", m.get);
-        report.set(k + ".gets", m.gets);
-        report.set(k + ".msg_size", m.msgSize);
+        report.set(k + ".pe", static_cast<std::uint64_t>(m.pe), "count",
+                   MetricClass::count, Better::lower);
+        report.set(k + ".send", m.send, "count", MetricClass::count,
+                   Better::lower);
+        report.set(k + ".gop", m.gop, "count", MetricClass::count,
+                   Better::lower);
+        report.set(k + ".vgop", m.vgop, "count", MetricClass::count,
+                   Better::lower);
+        report.set(k + ".sync", m.sync, "count", MetricClass::count,
+                   Better::lower);
+        report.set(k + ".put", m.put, "count", MetricClass::count,
+                   Better::lower);
+        report.set(k + ".puts", m.puts, "count", MetricClass::count,
+                   Better::lower);
+        report.set(k + ".get", m.get, "count", MetricClass::count,
+                   Better::lower);
+        report.set(k + ".gets", m.gets, "count", MetricClass::count,
+                   Better::lower);
+        report.set(k + ".msg_size", m.msgSize, "B", MetricClass::count,
+                   Better::lower);
     }
     t.print();
     std::printf("\nSEND includes the (P-1)/P per-cell chain sends of "

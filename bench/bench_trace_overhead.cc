@@ -31,6 +31,8 @@
 
 using namespace ap;
 using namespace ap::core;
+using obs::Better;
+using obs::MetricClass;
 
 namespace
 {
@@ -154,17 +156,26 @@ main(int argc, char **argv)
         full.wallMs, (fullRatio - 1.0) * 100.0,
         static_cast<unsigned long long>(full.recorded));
 
-    report.set("workload.puts", static_cast<std::uint64_t>(w.puts));
-    report.set("workload.bytes",
-               static_cast<std::uint64_t>(w.bytes));
-    report.set("workload.sim_us", simUs);
-    report.set("off.wall_ms", off.wallMs);
-    report.set("flight.wall_ms", flight.wallMs);
-    report.set("flight.ratio", flightRatio);
-    report.set("flight.events", flight.recorded);
-    report.set("full.wall_ms", full.wallMs);
-    report.set("full.ratio", fullRatio);
-    report.set("full.events", full.recorded);
+    report.set("workload.puts", static_cast<std::uint64_t>(w.puts),
+               "count", MetricClass::count, Better::lower);
+    report.set("workload.bytes", static_cast<std::uint64_t>(w.bytes),
+               "B", MetricClass::count, Better::lower);
+    report.set("workload.sim_us", simUs, "us", MetricClass::sim,
+               Better::lower);
+    report.set("off.wall_ms", off.wallMs, "ms", MetricClass::host,
+               Better::lower);
+    report.set("flight.wall_ms", flight.wallMs, "ms", MetricClass::host,
+               Better::lower);
+    report.set("flight.ratio", flightRatio, "x", MetricClass::host,
+               Better::lower);
+    report.set("flight.events", flight.recorded, "count",
+               MetricClass::count, Better::lower);
+    report.set("full.wall_ms", full.wallMs, "ms", MetricClass::host,
+               Better::lower);
+    report.set("full.ratio", fullRatio, "x", MetricClass::host,
+               Better::lower);
+    report.set("full.events", full.recorded, "count",
+               MetricClass::count, Better::lower);
     report.write();
 
     if (check && flightRatio > 1.05) {

@@ -18,10 +18,9 @@
  * a term must predict held-out points better than the constant model
  * to be chosen at all — noise does not grow exponents.
  *
- * Weighted (relative) least squares is the default: sweep metrics
- * span decades (a 64 B PUT and a 1 MB PUT differ by ~1000x in
- * latency), and unweighted residuals would fit only the largest
- * points. Weights 1/y^2 make every point count by its relative error,
+ * The fit is weighted (relative) least squares: sweep metrics span
+ * decades (a 64 B PUT and a 1 MB PUT differ by ~1000x in latency),
+ * and unweighted residuals would fit only the largest points. Weights 1/y^2 make every point count by its relative error,
  * which is also the quantity the divergence gate (tools/
  * model_check.py) thresholds.
  *
@@ -58,32 +57,6 @@ struct Term
 
     /** "n^1.5*log2(n)" — empty for the constant term. */
     std::string text(const std::string &var = "n") const;
-};
-
-/** Fitting knobs; the defaults are the committed-model settings. */
-struct FitOptions
-{
-    /**
-     * Relative (1/y^2-weighted) least squares. Off means plain
-     * unweighted residuals — useful when y legitimately crosses zero.
-     */
-    bool relative = true;
-
-    /**
-     * How much better (in cross-validated RMSE) a term model must be
-     * than the constant hypothesis to displace it. 1.05 = 5% better;
-     * guards against noise-grown exponents on flat data.
-     */
-    double termAdvantage = 1.05;
-
-    /** Candidate exponents; empty selects the stock lattice. */
-    std::vector<double> exponents;
-    /** Candidate log2 powers; empty selects {0, 1, 2}. */
-    std::vector<int> logPowers;
-
-    /** The stock exponent lattice (quarter/half steps in [-2, 3]). */
-    static const std::vector<double> &default_exponents();
-    static const std::vector<int> &default_log_powers();
 };
 
 /** A fitted scaling model y(x) = c + a * g(x). */
@@ -124,8 +97,7 @@ struct Fit
  * interpolates two points exactly whatever its exponent, so the
  * scaling class would be unidentifiable).
  */
-Fit fit_scaling(const std::vector<Point> &pts,
-                const FitOptions &opt = {});
+Fit fit_scaling(const std::vector<Point> &pts);
 
 /** Simple unweighted line y = intercept + slope * x (for parameter
  *  derivation, where the exponent is known to be 1). */

@@ -34,6 +34,16 @@ SweepData::metric_names() const
     return {names.begin(), names.end()};
 }
 
+const obs::MetricMeta &
+SweepData::meta_of(const std::string &metric) const
+{
+    auto it = meta.find(metric);
+    if (it == meta.end())
+        panic("sweep %s measures metric '%s' it never declared",
+              sweep.c_str(), metric.c_str());
+    return it->second;
+}
+
 std::string
 SweepData::json(bool pretty) const
 {
@@ -42,11 +52,17 @@ SweepData::json(bool pretty) const
     std::string out = strprintf(
         "{%s%s\"kind\": \"sweep\",%s%s\"sweep\": \"%s\",%s"
         "%s\"bench\": \"%s\",%s%s\"param\": \"%s\",%s"
-        "%s\"unit\": \"%s\",%s%s\"points\": [",
+        "%s\"unit\": \"%s\",%s%s\"metrics\": {",
         nl, sp, nl, sp, obs::json_escape(sweep).c_str(), nl, sp,
         obs::json_escape(bench).c_str(), nl, sp,
         obs::json_escape(param).c_str(), nl, sp,
         obs::json_escape(unit).c_str(), nl, sp);
+    std::vector<std::string> names = metric_names();
+    for (std::size_t i = 0; i < names.size(); ++i)
+        out += strprintf("%s%s%s%s\"%s\": {%s}", i ? "," : "", nl, sp,
+                         sp, obs::json_escape(names[i]).c_str(),
+                         obs::meta_json(meta_of(names[i])).c_str());
+    out += strprintf("%s%s},%s%s\"points\": [", nl, sp, nl, sp);
 
     std::vector<SweepPoint> rows = points;
     std::sort(rows.begin(), rows.end(),
@@ -90,41 +106,6 @@ SweepData::write(const std::string &path) const
     return obs::write_file(path, json(true));
 }
 
-const char *
-to_string(MetricClass c)
-{
-    switch (c) {
-      case MetricClass::sim:
-        return "sim";
-      case MetricClass::host:
-        return "host";
-      case MetricClass::count:
-        return "count";
-    }
-    return "?";
-}
-
-MetricClass
-classify_metric(const std::string &name)
-{
-    auto ends_with = [&](const char *suffix) {
-        std::string s(suffix);
-        return name.size() >= s.size() &&
-               name.compare(name.size() - s.size(), s.size(), s) == 0;
-    };
-    // Host wall-clock rates and times: noisy across machines, gate
-    // on shape only (mirrors tools/bench_compare.py HOST_PAT).
-    if (ends_with("per_sec") || ends_with("wall_s") ||
-        ends_with("wall_ms") || ends_with("speedup") ||
-        name == "ratio")
-        return MetricClass::host;
-    // Model-time quantities: deterministic given the seed.
-    if (ends_with("_us") || ends_with("_ms") || ends_with("mb_s") ||
-        ends_with("mbps") || ends_with("pct"))
-        return MetricClass::sim;
-    return MetricClass::count;
-}
-
 std::string
 SweepModel::text() const
 {
@@ -134,7 +115,7 @@ SweepModel::text() const
     for (const MetricModel &m : metrics)
         out += strprintf(
             "  %-24s %s  [%s, envelope %.0f%%]\n", m.metric.c_str(),
-            m.fit.formula(param).c_str(), to_string(m.cls),
+            m.fit.formula(param).c_str(), obs::to_string(m.cls),
             m.envelope * 100.0);
     return out;
 }
@@ -163,7 +144,7 @@ SweepModel::json(bool pretty) const
             "\"points\": %zu, \"xmin\": %s, \"xmax\": %s, "
             "\"envelope\": %s, \"formula\": \"%s\"}",
             i ? "," : "", nl, sp, sp,
-            obs::json_escape(m.metric).c_str(), to_string(m.cls),
+            obs::json_escape(m.metric).c_str(), obs::to_string(m.cls),
             obs::json_number(f.c).c_str(),
             obs::json_number(f.a).c_str(),
             obs::json_number(f.term.exp).c_str(), f.term.logPow,
@@ -188,8 +169,7 @@ SweepModel::write(const std::string &path) const
 }
 
 SweepModel
-fit_sweep(const SweepData &data, const FitOptions &fopt,
-          const EnvelopeOptions &eopt)
+fit_sweep(const SweepData &data)
 {
     SweepModel out;
     out.sweep = data.sweep;
@@ -202,10 +182,8 @@ fit_sweep(const SweepData &data, const FitOptions &fopt,
             continue;
         MetricModel m;
         m.metric = name;
-        auto ov = data.classes.find(name);
-        m.cls = ov != data.classes.end() ? ov->second
-                                         : classify_metric(name);
-        m.fit = fit_scaling(pts, fopt);
+        m.cls = data.meta_of(name).cls;
+        m.fit = fit_scaling(pts);
         m.xmin = pts.front().x;
         m.xmax = pts.back().x;
         // The gate must accept a fresh re-measurement of any
@@ -222,12 +200,8 @@ fit_sweep(const SweepData &data, const FitOptions &fopt,
             worst = std::max(worst,
                              std::abs(p.y - m.fit.eval(p.x)) / denom);
         }
-        double floor = eopt.simFloor;
-        if (m.cls == MetricClass::host)
-            floor = eopt.hostFloor;
-        else if (m.cls == MetricClass::count)
-            floor = eopt.countFloor;
-        m.envelope = std::max(floor, eopt.residualFactor * worst);
+        double floor = m.cls == obs::MetricClass::host ? 0.35 : 0.10;
+        m.envelope = std::max(floor, 3.0 * worst);
         out.metrics.push_back(std::move(m));
     }
     return out;

@@ -14,15 +14,17 @@
  *              and the divergence envelope the CI gate holds fresh
  *              measurements to (tools/model_check.py).
  *
- * Metrics are classified like tools/bench_compare.py: "sim" metrics
- * are model-time-derived and deterministic, so the envelope is tight
- * and absolute; "host" metrics are wall-clock rates that vary across
- * machines, so the gate compares only their *shape* (values
- * normalized to the smallest-parameter point); "count" metrics gate
- * like sim. The envelope itself is derived from the fit's own
- * training residuals — a model that explains its sweep to 2% carries
- * a tighter envelope than one that explains it to 10% — with a floor
- * so CI jitter on a freshly measured point cannot trip the gate.
+ * Each sweep declares every metric's unit, gate class and better
+ * direction once (obs/metric.hh), and both documents carry them.
+ * "sim" metrics are model-time-derived and deterministic, so the
+ * envelope is tight and absolute; "host" metrics are wall-clock rates
+ * that vary across machines, so the gate compares only their *shape*
+ * (values normalized to the smallest-parameter point); "count"
+ * metrics gate like sim. The envelope itself is derived from the
+ * fit's own training residuals — a model that explains its sweep to
+ * 2% carries a tighter envelope than one that explains it to 10% —
+ * with a floor so CI jitter on a freshly measured point cannot trip
+ * the gate.
  */
 
 #ifndef AP_MODEL_MODELSET_HH
@@ -34,22 +36,10 @@
 #include <vector>
 
 #include "model/fit.hh"
+#include "obs/metric.hh"
 
 namespace ap::model
 {
-
-/** Gate class of a metric (mirrors tools/bench_compare.py). */
-enum class MetricClass
-{
-    sim,   ///< deterministic model-time metric: absolute envelope
-    host,  ///< wall-clock rate: shape-only envelope
-    count, ///< integer workload count: absolute envelope
-};
-
-const char *to_string(MetricClass c);
-
-/** Classify by metric name (events_per_sec/wall_s -> host, ...). */
-MetricClass classify_metric(const std::string &name);
 
 /** One measured sweep row. */
 struct SweepPoint
@@ -70,14 +60,13 @@ struct SweepData
     std::string unit;   ///< axis unit for humans ("B", "cells")
     std::vector<SweepPoint> points;
 
-    /**
-     * Explicit gate-class overrides. A metric absent here classifies
-     * by name; present, the override wins. bench_serve's jobs_per_sec
-     * is the motivating case: the name says wall-clock rate, but the
-     * value is derived from the simulated makespan and is exactly
-     * reproducible, so it deserves the tight sim envelope.
-     */
-    std::map<std::string, MetricClass> classes;
+    /** Unit, gate class and direction of every metric the points
+     *  carry, declared once per sweep. */
+    std::map<std::string, obs::MetricMeta> meta;
+
+    /** The declared metadata of @p metric; panics when the sweep
+     *  measured a metric it never declared. */
+    const obs::MetricMeta &meta_of(const std::string &metric) const;
 
     /** Points of one metric, sorted by x, skipping absent rows. */
     std::vector<Point> series(const std::string &metric) const;
@@ -96,7 +85,7 @@ struct SweepData
 struct MetricModel
 {
     std::string metric;
-    MetricClass cls = MetricClass::sim;
+    obs::MetricClass cls = obs::MetricClass::sim;
     Fit fit;
     double xmin = 0.0; ///< fitted domain
     double xmax = 0.0;
@@ -123,27 +112,17 @@ struct SweepModel
     bool write(const std::string &path) const;
 };
 
-/** Envelope knobs for fit_sweep(). */
-struct EnvelopeOptions
-{
-    /** Envelope floor by class (fraction). */
-    double simFloor = 0.10;
-    double hostFloor = 0.35;
-    double countFloor = 0.10;
-    /** Envelope = max(floor, residualFactor * max training
-     *  relative residual): a fresh re-measurement of a training
-     *  point must always sit inside. */
-    double residualFactor = 3.0;
-};
-
 /**
- * Fit every metric of @p data and derive per-metric envelopes.
- * Metrics whose class is host are still fitted on raw values; the
- * shape normalization happens in the gate, which divides both model
- * and measurement by their smallest-x value.
+ * Fit every metric of @p data and derive per-metric envelopes, each
+ * in the class the sweep declared for it: envelope = max(class floor
+ * — 10% sim/count, 35% host — and 3x the worst training relative
+ * residual), so a fresh re-measurement of a training point always
+ * sits inside. Metrics whose class is
+ * host are still fitted on raw values; the shape normalization
+ * happens in the gate, which divides both model and measurement by
+ * their smallest-x value.
  */
-SweepModel fit_sweep(const SweepData &data, const FitOptions &fopt = {},
-                     const EnvelopeOptions &eopt = {});
+SweepModel fit_sweep(const SweepData &data);
 
 } // namespace ap::model
 

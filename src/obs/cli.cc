@@ -65,15 +65,12 @@ BenchReport::consume_arg(const char *arg)
 }
 
 void
-BenchReport::set(const std::string &path, double v)
+BenchReport::set(const std::string &path, double v,
+                 const std::string &unit, MetricClass cls,
+                 Better better)
 {
-    tree.set(path, v);
-}
-
-void
-BenchReport::set(const std::string &path, std::uint64_t v)
-{
-    tree.set(path, v);
+    tree.set_raw(path, "{\"value\": " + json_number(v) + ", " +
+                           meta_json({unit, cls, better}) + "}");
 }
 
 void

@@ -16,16 +16,17 @@
  * one line per argv entry. BenchReport is the bench half of the
  * stats-dump satellite: benches accumulate named metrics while they
  * print their human-readable tables and, when --json-out is given,
- * write the same numbers as one `BENCH_<name>.json` object.
+ * write the same numbers as one `BENCH_<name>.json` object. Each
+ * metric leaf is {"value", "unit", "class", "better"} (obs/metric.hh).
  */
 
 #ifndef AP_OBS_CLI_HH
 #define AP_OBS_CLI_HH
 
-#include <cstdint>
 #include <string>
 
 #include "obs/json.hh"
+#include "obs/metric.hh"
 
 namespace ap::obs
 {
@@ -79,9 +80,10 @@ class BenchReport
     /** @return true when --json-out was given. */
     bool enabled() const { return jsonWanted; }
 
-    /** Record one numeric metric under a dotted path. */
-    void set(const std::string &path, double v);
-    void set(const std::string &path, std::uint64_t v);
+    /** Record one numeric metric and its metadata under a dotted
+     *  path (integral values up to 2^53 are written exactly). */
+    void set(const std::string &path, double v, const std::string &unit,
+             MetricClass cls, Better better);
 
     /** Record one string metric under a dotted path. */
     void set_string(const std::string &path, const std::string &v);

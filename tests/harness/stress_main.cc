@@ -24,6 +24,8 @@
 
 using namespace ap;
 using namespace ap::harness;
+using obs::Better;
+using obs::MetricClass;
 
 namespace
 {
@@ -232,15 +234,19 @@ main(int argc, char **argv)
     // constant factor — consistent across baseline and candidate,
     // which is all the ratio gate needs.
     double wall = elapsed_s();
-    report.set("speed.wall_s", wall);
-    report.set("speed.iters_per_sec",
-               static_cast<double>(done) / wall);
+    report.set("speed.wall_s", wall, "s", MetricClass::host,
+               Better::lower);
+    report.set("speed.iters_per_sec", static_cast<double>(done) / wall,
+               "iter/s", MetricClass::host, Better::higher);
     report.set("speed.events_per_sec",
-               static_cast<double>(events) / wall);
-    report.set("count.iterations",
-               static_cast<std::uint64_t>(done));
-    report.set("count.faults_injected", injected);
-    report.set("count.retransmits", retransmits);
+               static_cast<double>(events) / wall, "event/s",
+               MetricClass::host, Better::higher);
+    report.set("count.iterations", static_cast<std::uint64_t>(done),
+               "count", MetricClass::count, Better::higher);
+    report.set("count.faults_injected", injected, "count",
+               MetricClass::count, Better::lower);
+    report.set("count.retransmits", retransmits, "count",
+               MetricClass::count, Better::lower);
     report.write();
 
     std::printf("stress ok: %ld iterations (plan %s%s%s, first seed "

@@ -17,6 +17,8 @@
 
 using namespace ap;
 using namespace ap::model;
+using obs::Better;
+using obs::MetricClass;
 
 namespace
 {
@@ -164,14 +166,43 @@ TEST(Fit, LinearFitHelperRecoversLine)
     EXPECT_DOUBLE_EQ(flat.slope, 0.0);
 }
 
-TEST(ModelSet, ClassifyMetricMirrorsBenchCompare)
+TEST(ModelSet, DeclaredMetadataReachesJsonAndFit)
 {
-    EXPECT_EQ(classify_metric("events_per_sec"), MetricClass::host);
-    EXPECT_EQ(classify_metric("wall_s"), MetricClass::host);
-    EXPECT_EQ(classify_metric("deliver_us"), MetricClass::sim);
-    EXPECT_EQ(classify_metric("mean_latency_us"), MetricClass::sim);
-    EXPECT_EQ(classify_metric("events"), MetricClass::count);
-    EXPECT_EQ(classify_metric("retransmits"), MetricClass::count);
+    // The name says wall-clock rate; the declaration says sim, and
+    // the declaration is all that counts.
+    SweepData d;
+    d.sweep = "serve";
+    d.bench = "bench_serve";
+    d.param = "arrival_us";
+    d.unit = "us";
+    d.meta["jobs_per_sec"] = {"job/s", MetricClass::sim,
+                              Better::higher};
+    for (double x : {100.0, 200.0, 400.0, 800.0})
+        d.points.push_back({x, {{"jobs_per_sec", 3000.0 - x}}, {}});
+
+    std::string js = d.json();
+    std::string err;
+    EXPECT_TRUE(obs::json_valid(js, &err)) << err;
+    EXPECT_NE(js.find("\"jobs_per_sec\": {\"unit\": \"job/s\", "
+                      "\"class\": \"sim\", \"better\": \"higher\"}"),
+              std::string::npos)
+        << js;
+
+    SweepModel m = fit_sweep(d);
+    ASSERT_EQ(m.metrics.size(), 1u);
+    EXPECT_EQ(m.metrics[0].cls, MetricClass::sim);
+    EXPECT_NE(m.json().find("\"class\": \"sim\""), std::string::npos);
+}
+
+TEST(ModelSetDeathTest, UndeclaredMetricIsRejected)
+{
+    SweepData d;
+    d.sweep = "putlat";
+    d.meta["deliver_us"] = {"us", MetricClass::sim, Better::lower};
+    d.points.push_back(
+        {64.0, {{"deliver_us", 21.0}, {"issue_us", 1.0}}, {}});
+    EXPECT_DEATH(d.json(), "never declared");
+    EXPECT_DEATH(fit_sweep(d), "never declared");
 }
 
 TEST(ModelSet, SweepJsonIsValidAndSorted)
@@ -181,6 +212,7 @@ TEST(ModelSet, SweepJsonIsValidAndSorted)
     d.bench = "micro_putget";
     d.param = "bytes";
     d.unit = "B";
+    d.meta["deliver_us"] = {"us", MetricClass::sim, Better::lower};
     // Inserted out of order; json() and series() must sort by x.
     d.points.push_back({1024.0, {{"deliver_us", 60.0}}, {}});
     d.points.push_back(
@@ -205,6 +237,9 @@ TEST(ModelSet, FitSweepDerivesEnvelopesAndValidJson)
     d.bench = "phold";
     d.param = "cells";
     d.unit = "cells";
+    d.meta["events"] = {"count", MetricClass::count, Better::lower};
+    d.meta["events_per_sec"] = {"event/s", MetricClass::host,
+                                Better::higher};
     for (double x : {64.0, 144.0, 256.0, 576.0, 1024.0}) {
         SweepPoint p;
         p.x = x;

@@ -1,32 +1,31 @@
 #!/usr/bin/env python3
 """Diff bench JSON reports against committed baselines (CI perf gate).
 
-Compares every numeric metric of one or more `BENCH_<name>.json`
-candidate files (written by the benches' `--json-out=`) against the
-baseline of the same basename under `bench/baselines/`. Metrics are
-matched by flattened dotted path. Only paths present in BOTH documents
-are compared, so adding a metric to a bench never breaks the gate —
-but one-sided paths are never silently dropped either: baseline-only
+Compares every metric of one or more `BENCH_<name>.json` candidate
+files (written by the benches' `--json-out=`) against the baseline of
+the same basename under `bench/baselines/`. Metrics are matched by
+flattened dotted path. Only paths present in BOTH documents are
+compared, so adding a metric to a bench never breaks the gate — but
+one-sided paths are never silently dropped either: baseline-only
 (dropped) and candidate-only (added) metrics each get a WARN line and
 both counts appear in the per-file summary.
 
-Tolerance classes (per-metric relative change, worse direction only):
+Every metric is an object {"value", "unit", "class", "better"}: the
+bench declares its unit, class and better direction where it emits
+it (obs::BenchReport::set), and this gate reads them from the JSON.
+Nothing is guessed from the metric's name. Per class (relative change
+in the worse direction):
 
-  sim    model-time-derived metrics (put_us, stream_mb_s, sim events,
-         coverage): deterministic given the seed, so tight —
-         fail beyond --fail-pct (default 15), warn beyond --warn-pct
-         (default 5).
-  host   host wall-clock metrics (wall_s, wall_ms, ratio,
-         events_per_sec, speedup): noisy across CI machines — fail
-         only beyond --host-fail-pct (default 50), never warn.
-  count  integer event counts (events, traces, retransmits, puts,
-         bytes): differences mean the workload changed, not a perf
-         regression — report as info, never fail.
+  sim    model-time-derived metrics: deterministic given the seed, so
+         tight — fail beyond --fail-pct (default 15), warn beyond
+         --warn-pct (default 5).
+  host   host wall-clock times and rates: noisy across CI machines —
+         fail only beyond --host-fail-pct (default 50), never warn.
+  count  workload counts: differences mean the workload changed, not
+         a perf regression — report as info, never fail.
 
-Direction matters: higher-is-better metrics (*_per_sec, *_mb_s,
-coverage, speedup*) only regress when they drop; lower-is-better
-metrics (*_us, *_ms, wall_s, ratio) when they rise. Improvements are
-reported but never gate.
+`better` is "higher" or "lower": a metric regresses only when it moves
+the other way. Improvements are reported but never gate.
 
 Usage:
   bench_compare.py [--baseline-dir=DIR] [--fail-pct=P] [--warn-pct=P]
@@ -35,10 +34,13 @@ Usage:
 `--tol=REGEX:PCT` overrides the fail threshold for metrics whose
 `<file-stem>.<dotted.path>` matches REGEX (first match wins).
 
-Exit status: 1 when any metric fails, when a baseline is missing, or
+Exit status: 1 when any metric fails, when a baseline is missing,
 when either file is unreadable or not valid JSON (a renamed bench or
-a corrupted baseline must fail the gate loudly, never skip it);
-0 otherwise (warnings do not fail). Standard library only.
+a corrupted baseline must fail the gate loudly, never skip it), when
+a metric lacks valid metadata, or when baseline and candidate declare
+a different unit, class or direction for the same path (a silent
+reclass would move a metric between bounds); 0 otherwise (warnings
+do not fail). Standard library only.
 """
 
 import json
@@ -46,48 +48,66 @@ import os
 import re
 import sys
 
-HOST_PAT = re.compile(
-    r"(^|\.)(wall_s|wall_ms|events_per_sec|ratio|speedup[^.]*)$")
-HIGHER_BETTER_PAT = re.compile(
-    r"(^|\.)([^.]*(per_sec|mb_s)|coverage[^.]*|speedup[^.]*)$")
-LOWER_BETTER_PAT = re.compile(
-    r"(^|\.)([^.]*(_us|_ms)|wall_s|ratio)$")
+CLASSES = ("sim", "host", "count")
+DIRECTIONS = ("lower", "higher")
+META = ("unit", "class", "better")
+
+
+def is_num(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def flatten(doc, prefix=""):
-    """Numeric leaves of a nested JSON object as {dotted.path: value}."""
+    """Metrics of a bench document as {dotted.path: metric object}.
+
+    An object with a "value" key is a metric. A bare numeric leaf is a
+    metric without metadata; it comes back as {"value": v} so the
+    caller reports it.
+    """
     out = {}
     if isinstance(doc, dict):
+        if "value" in doc:
+            out[prefix] = doc
+            return out
         for k, v in doc.items():
             p = f"{prefix}.{k}" if prefix else k
             out.update(flatten(v, p))
-    elif isinstance(doc, (int, float)) and not isinstance(doc, bool):
-        out[prefix] = float(doc)
+    elif is_num(doc):
+        out[prefix] = {"value": doc}
     return out
 
 
-def classify(path):
-    if HOST_PAT.search(path):
-        return "host"
-    if HIGHER_BETTER_PAT.search(path) or LOWER_BETTER_PAT.search(path):
-        return "sim"
-    return "count"
+def meta_error(m):
+    """What is wrong with the unit/class/better of metric object @m,
+    or None when they are complete and valid."""
+    missing = [k for k in META if k not in m]
+    if missing:
+        return f"no {'/'.join(missing)} metadata"
+    if not isinstance(m["unit"], str) or not m["unit"]:
+        return "unit is not a non-empty string"
+    for key, allowed in (("class", CLASSES), ("better", DIRECTIONS)):
+        if m[key] not in allowed:
+            return f"{key} {m[key]!r} is not one of {', '.join(allowed)}"
+    return None
 
 
-def regression_pct(path, base, cand):
+def metric_error(m):
+    """Why metric object @m cannot be gated, or None when it can."""
+    if not is_num(m.get("value")):
+        return "value is not a number"
+    return meta_error(m)
+
+
+def regression_pct(better, base, cand):
     """Relative change in the *worse* direction, as a percentage.
 
-    Positive = regressed, negative = improved, None = not a rate or
-    latency metric (counts have no worse direction).
+    Positive = regressed, negative = improved, None = no baseline
+    magnitude to compare against.
     """
     if base == 0:
         return None
     change = (cand - base) / abs(base) * 100.0
-    if HIGHER_BETTER_PAT.search(path):
-        return -change
-    if LOWER_BETTER_PAT.search(path):
-        return change
-    return None
+    return -change if better == "higher" else change
 
 
 def load_metrics(path, role):
@@ -140,17 +160,33 @@ def compare_file(path, baseline_dir, opts):
               f"{', '.join(only_cand[:5])}"
               f"{' ...' if len(only_cand) > 5 else ''}")
     rc = 0
+    for role, doc in (("baseline", base), ("candidate", cand)):
+        for p, m in sorted(doc.items()):
+            err = metric_error(m)
+            if err:
+                print(f"FAIL  {name}:{p}: {role} metric unusable: {err}")
+                rc = 1
     for p in shared:
-        b, c = base[p], cand[p]
-        cls = classify(p)
-        reg = regression_pct(p, b, c)
+        bm, cm = base[p], cand[p]
+        if metric_error(bm) or metric_error(cm):
+            continue
+        label = f"{name}:{p}"
+        if any(bm[k] != cm[k] for k in META):
+            print(f"FAIL  {label}: metadata differs — baseline "
+                  f"{'/'.join(str(bm[k]) for k in META)}, candidate "
+                  f"{'/'.join(str(cm[k]) for k in META)} "
+                  f"(regenerate the baseline)")
+            rc = 1
+            continue
+        b, c = bm["value"], cm["value"]
+        cls = bm["class"]
+        reg = regression_pct(bm["better"], b, c)
         fail_pct = opts["host_fail"] if cls == "host" \
             else opts["fail"]
         for pat, pct in opts["overrides"]:
             if pat.search(f"{stem}.{p}"):
                 fail_pct = pct
                 break
-        label = f"{name}:{p}"
         if reg is None or cls == "count":
             if b != c:
                 print(f"INFO  {label}: {b:g} -> {c:g} ({cls})")

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Schema checks for the observability JSON artifacts (CI gate).
 
-Three document kinds:
+Six document kinds:
 
   profile   critical-path breakdown written by `ap_run --profile-json=F`
             and `bench_micro_putget --profile-out=F`
@@ -12,10 +12,14 @@ Three document kinds:
             (obs/sampler.hh: series/level lists plus samples rows
             with strictly increasing t_us)
   sweep     parameterized sweep dataset written by `bench_sweep`
-            (model/modelset.hh: points rows with strictly
-            increasing x and per-point metric values)
+            (model/modelset.hh: the unit/class/better declared for
+            every metric, points rows with strictly increasing x and
+            per-point metric values)
   model     fitted scaling-law set written by `bench_sweep --fit`
             (one fitted term + envelope per metric)
+  bench     bench report written by `--json-out=F`
+            (obs/cli.hh: every numeric leaf is a metric object
+            {"value", "unit", "class", "better"})
 
 Usage:
   check_profile_schema.py profile [--min-coverage=0.95] FILE...
@@ -23,6 +27,7 @@ Usage:
   check_profile_schema.py timeline FILE...
   check_profile_schema.py sweep FILE...
   check_profile_schema.py model FILE...
+  check_profile_schema.py bench FILE...
 
 Exit status 0 when every file conforms; 1 with a diagnostic per
 violation otherwise. Standard library only.
@@ -30,6 +35,8 @@ violation otherwise. Standard library only.
 
 import json
 import sys
+
+from bench_compare import flatten, meta_error, metric_error
 
 STAGES = [
     "issue", "queue", "dma_send", "net", "dma_recv", "flag",
@@ -175,6 +182,13 @@ def check_sweep(path, doc):
     for key in ("sweep", "bench", "param", "unit"):
         if not isinstance(doc.get(key), str) or not doc.get(key):
             rc |= fail(path, f"missing string field '{key}'")
+    meta = doc.get("metrics")
+    if not isinstance(meta, dict):
+        return rc | fail(path, "missing 'metrics' metadata object")
+    for name, m in meta.items():
+        err = meta_error(m) if isinstance(m, dict) else "not an object"
+        if err:
+            rc |= fail(path, f"metrics.{name}: {err}")
     points = doc.get("points")
     if not isinstance(points, list) or not points:
         return rc | fail(path, "missing or empty 'points' list")
@@ -197,6 +211,11 @@ def check_sweep(path, doc):
                 path,
                 f"points[{i}].metrics missing, empty, or "
                 f"non-numeric")
+        elif any(k not in meta for k in metrics):
+            rc |= fail(
+                path,
+                f"points[{i}].metrics has undeclared "
+                f"{sorted(k for k in metrics if k not in meta)}")
         registry = row.get("registry")
         if registry is not None and (
                 not isinstance(registry, dict) or
@@ -248,10 +267,24 @@ def check_model(path, doc):
     return rc
 
 
+def check_bench(path, doc):
+    rc = 0
+    if not isinstance(doc.get("bench"), str) or not doc.get("bench"):
+        rc |= fail(path, "missing string field 'bench'")
+    metrics = flatten(doc)
+    if not metrics:
+        rc |= fail(path, "no metrics")
+    for name, m in sorted(metrics.items()):
+        err = metric_error(m)
+        if err:
+            rc |= fail(path, f"{name}: {err}")
+    return rc
+
+
 def main(argv):
     if len(argv) < 3 or argv[1] not in ("profile", "chrome",
                                         "timeline", "sweep",
-                                        "model"):
+                                        "model", "bench"):
         print(__doc__, file=sys.stderr)
         return 2
     kind = argv[1]
@@ -285,6 +318,8 @@ def main(argv):
             rc |= check_sweep(path, doc)
         elif kind == "model":
             rc |= check_model(path, doc)
+        elif kind == "bench":
+            rc |= check_bench(path, doc)
         else:
             rc |= check_timeline(path, doc)
         if rc == 0:

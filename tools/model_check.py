@@ -11,16 +11,21 @@ under bench/models/). Two checks per metric:
             rates that track machine speed) are first normalized by
             their smallest-x point, so only the *shape* is gated and
             a faster or slower CI machine cannot trip it.
-  class     the fresh points are refitted over the same Extra-P term
-            lattice as src/model/fit.cc; the refit's total growth
-            across the committed domain must agree with the model's
-            within --class-tol (factor). A metric that changed
+  class     the fresh fit — the MODEL_<sweep>.json that
+            `bench_sweep --fit` wrote beside each SWEEP_<sweep>.json,
+            from the one fitter in src/model/fit.cc — must grow by the
+            same factor across the committed domain as the committed
+            model, within --class-tol (factor). A metric that changed
             scaling class — linear turned quadratic — fails even
             when each point still squeaks inside the envelope.
             Needs >= 3 distinct fresh x values; skipped below that.
             Host metrics get twice the tolerance: their few-point
-            refits chase machine noise, and the gate must not flake
+            fits chase machine noise, and the gate must not flake
             on a loaded CI runner.
+
+Each metric's class is the one its sweep declared; the fresh fit must
+carry the same class as the committed model. A missing fresh fit
+fails the gate.
 
 Usage:
   model_check.py [--models-dir=DIR] [--class-tol=2.0] SWEEP_FILE...
@@ -39,19 +44,13 @@ import os
 import sys
 import tempfile
 
-EXPONENTS = [-2.0, -1.5, -1.0, -0.75, -0.5, -0.25,
-             0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0]
-LOG_POWERS = [0, 1, 2]
-TERM_ADVANTAGE = 1.05
-
-
 def fail(msg):
     print(f"FAIL: {msg}", file=sys.stderr)
     return 1
 
 
 # ----------------------------------------------------------------
-# the fit mirror (same algorithm as src/model/fit.cc)
+# evaluating a committed or fresh fit
 # ----------------------------------------------------------------
 
 def term_eval(x, exp, log_pow):
@@ -59,117 +58,6 @@ def term_eval(x, exp, log_pow):
     if log_pow:
         g *= math.log2(x) ** log_pow
     return g
-
-
-def scale_floor(pts):
-    return max(1e-12, 1e-3 * max((abs(y) for _, y in pts),
-                                 default=0.0))
-
-
-def weighted_mean(pts, floor):
-    sw = swy = 0.0
-    for _, y in pts:
-        w = 1.0 / max(abs(y), floor) ** 2
-        sw += w
-        swy += w * y
-    return swy / sw if sw > 0 else 0.0
-
-
-def solve_term(pts, exp, log_pow, floor):
-    sw = swg = swgg = swy = swgy = 0.0
-    for x, y in pts:
-        g = term_eval(x, exp, log_pow)
-        if not math.isfinite(g):
-            return None
-        w = 1.0 / max(abs(y), floor) ** 2
-        sw += w
-        swg += w * g
-        swgg += w * g * g
-        swy += w * y
-        swgy += w * g * y
-    det = sw * swgg - swg * swg
-    if abs(det) <= 1e-12 * max(sw * swgg, swg * swg):
-        return None
-    c = (swy * swgg - swg * swgy) / det
-    a = (sw * swgy - swg * swy) / det
-    if not (math.isfinite(c) and math.isfinite(a)):
-        return None
-    return c, a
-
-
-def rel_rmse(pts, pred, floor):
-    if not pts:
-        return 0.0
-    s = sum(((pred(x) - y) / max(abs(y), floor)) ** 2
-            for x, y in pts)
-    return math.sqrt(s / len(pts))
-
-
-def cv_rmse(pts, fit_fn, floor):
-    """LOOCV: fit_fn(subset) -> predictor or None."""
-    s = 0.0
-    for k in range(len(pts)):
-        rest = pts[:k] + pts[k + 1:]
-        pred = fit_fn(rest)
-        if pred is None:
-            return math.inf
-        x, y = pts[k]
-        s += ((pred(x) - y) / max(abs(y), floor)) ** 2
-    return math.sqrt(s / len(pts))
-
-
-def refit(pts):
-    """Mirror of fit_scaling(): returns a dict like a model metric."""
-    floor = scale_floor(pts)
-    c0 = weighted_mean(pts, floor)
-    out = {"constant": True, "c": c0, "a": 0.0, "exp": 0.0, "log": 0}
-    xs = sorted({x for x, _ in pts})
-    const_rmse = rel_rmse(pts, lambda _x: c0, floor)
-    if len(xs) < 3:
-        return out
-    can_cv = len(pts) >= 4
-    if can_cv:
-        const_score = cv_rmse(
-            pts,
-            lambda rest: (lambda _x, c=weighted_mean(rest, floor): c),
-            floor)
-    else:
-        const_score = const_rmse
-    if const_score < 1e-12:
-        return out
-
-    best = None
-    for exp in EXPONENTS:
-        for log_pow in LOG_POWERS:
-            sol = solve_term(pts, exp, log_pow, floor)
-            if sol is None:
-                continue
-            c, a = sol
-
-            def predictor(rest, e=exp, l=log_pow):
-                s = solve_term(rest, e, l, floor)
-                if s is None:
-                    return None
-                return lambda x: s[0] + s[1] * term_eval(x, e, l)
-
-            if can_cv:
-                score = cv_rmse(pts, predictor, floor)
-            else:
-                score = rel_rmse(
-                    pts,
-                    lambda x, c=c, a=a, e=exp, l=log_pow:
-                        c + a * term_eval(x, e, l),
-                    floor)
-            if not math.isfinite(score):
-                continue
-            if best is None or score < best[0] * (1.0 - 1e-9):
-                best = (score, c, a, exp, log_pow)
-
-    if best is None or const_score <= best[0] * TERM_ADVANTAGE:
-        return out
-    _, c, a, exp, log_pow = best
-    return {"constant": False, "c": c, "a": a, "exp": exp,
-            "log": log_pow}
 
 
 def model_eval(m, x):
@@ -191,10 +79,15 @@ def term_text(m):
 # the gate
 # ----------------------------------------------------------------
 
-def check_metric(sweep_name, mm, pts, class_tol):
-    """One metric of one sweep; returns (rc, summary line)."""
+def check_metric(sweep_name, mm, pts, fresh, class_tol):
+    """One metric of one sweep against its committed model @mm and
+    its fresh fit @fresh; returns (rc, summary line)."""
     name = f"{sweep_name}/{mm['metric']}"
     cls = mm["class"]
+    if fresh["class"] != cls:
+        return fail(f"{name}: the fresh fit is class {fresh['class']} "
+                    f"but the committed model is class {cls} — "
+                    f"commit the model bench_sweep --fit wrote"), ""
     in_domain = [(x, y) for x, y in pts
                  if mm["xmin"] * (1 - 1e-9) <= x
                  <= mm["xmax"] * (1 + 1e-9)]
@@ -233,14 +126,14 @@ def check_metric(sweep_name, mm, pts, class_tol):
                 f"{mm['envelope'] * 100:.0f}%)"
                 + (" [shape-normalized]" if cls == "host" else ""))
 
-    # Scaling class: refit and compare total growth over the domain.
-    # Host rates wobble point-to-point on a busy runner, and a
-    # 3-point refit happily turns that wobble into a small exponent,
-    # so they get double headroom before "the class changed".
+    # Scaling class: compare the total growth of the fresh fit and
+    # the committed model over the domain. Host rates wobble
+    # point-to-point on a busy runner, and a 3-point fit happily
+    # turns that wobble into a small exponent, so they get double
+    # headroom before "the class changed".
     eff_tol = class_tol * 2 if cls == "host" else class_tol
     class_note = "class n/a"
     if len({x for x, _ in in_domain}) >= 3:
-        fresh = refit(in_domain)
         lo = model_eval(mm, mm["xmin"])
         hi = model_eval(mm, mm["xmax"])
         flo = model_eval(fresh, mm["xmin"])
@@ -286,6 +179,20 @@ def check_sweep_file(path, models_dir, class_tol):
                     f"unreadable: {e}")
     if model.get("kind") != "model":
         return fail(f"{model_path}: not a model document")
+    fresh_path = os.path.join(os.path.dirname(path),
+                              f"MODEL_{name}.json")
+    try:
+        with open(fresh_path, encoding="utf-8") as f:
+            fresh_model = json.load(f)
+    except FileNotFoundError:
+        return fail(f"{path}: no fresh fit {fresh_path} beside it — "
+                    f"run bench_sweep --fit")
+    except (OSError, json.JSONDecodeError) as e:
+        return fail(f"{path}: fresh fit {fresh_path} unreadable: {e}")
+    if fresh_model.get("kind") != "model":
+        return fail(f"{fresh_path}: not a model document")
+    fresh_fits = {m["metric"]: m
+                  for m in fresh_model.get("metrics", [])}
 
     series = {}
     for p in sweep.get("points", []):
@@ -303,8 +210,13 @@ def check_sweep_file(path, models_dir, class_tol):
             rc |= fail(f"{name}/{mm['metric']}: committed model has "
                        f"no fresh measurement in {path}")
             continue
+        fresh = fresh_fits.get(mm["metric"])
+        if fresh is None:
+            rc |= fail(f"{name}/{mm['metric']}: no fresh fit in "
+                       f"{fresh_path}")
+            continue
         mm = dict(mm, param=sweep.get("param", "x"))
-        mrc, line = check_metric(name, mm, pts, class_tol)
+        mrc, line = check_metric(name, mm, pts, fresh, class_tol)
         rc |= mrc
         if line:
             lines.append(line)
@@ -340,71 +252,84 @@ def _sweep_doc(sweep, rows):
 
 
 def _metric(name, cls, c, a, exp, log, envelope, xmin, xmax):
+    """The fields of one model-document metric that the gate reads."""
     return {"metric": name, "class": cls, "c": c, "a": a,
             "exp": exp, "log": log, "constant": a == 0.0,
-            "r2": 1.0, "adj_r2": 1.0, "rmse_rel": 0.0,
-            "cv_rmse_rel": 0.0, "points": 5, "xmin": xmin,
-            "xmax": xmax, "envelope": envelope, "formula": "synth"}
+            "xmin": xmin, "xmax": xmax, "envelope": envelope}
 
 
 def self_test():
     xs = [4.0, 8.0, 16.0, 32.0, 64.0]
     rc = 0
     with tempfile.TemporaryDirectory() as tmp:
+        models = os.path.join(tmp, "models")
+        os.mkdir(models)
         # Committed: lat_us = 5 + 2n (sim, 10%), rate = const 100
-        # with a deliberately loose 500% envelope (host).
-        _write(tmp, "MODEL_good.json", _model_doc("good", [
+        # with a deliberately loose 1000% envelope (host).
+        _write(models, "MODEL_good.json", _model_doc("good", [
             _metric("lat_us", "sim", 5.0, 2.0, 1.0, 0, 0.10, 4, 64),
             _metric("rate_per_sec", "host", 100.0, 0.0, 0.0, 0,
                     10.0, 4, 64),
         ]))
 
+        def case(label, rows, fresh_fits, want_pass):
+            """Write SWEEP_good.json and (unless @fresh_fits is None)
+            its fresh MODEL_good.json, run the gate, and check the
+            verdict."""
+            nonlocal rc
+            fresh_dir = tempfile.mkdtemp(dir=tmp)
+            path = _write(fresh_dir, "SWEEP_good.json",
+                          _sweep_doc("good", rows))
+            if fresh_fits is not None:
+                _write(fresh_dir, "MODEL_good.json",
+                       _model_doc("good", fresh_fits))
+            passed = check_sweep_file(path, models, 2.0) == 0
+            if passed != want_pass:
+                rc |= fail(f"self-test: {label} was "
+                           f"{'accepted' if passed else 'rejected'}")
+            else:
+                print(f"self-test: {label} "
+                      f"{'accepted' if passed else 'rejected'} (good)")
+
         # 1. Fresh data on the law (2% wiggle; host scaled 3x to
         #    prove shape normalization absorbs machine speed).
-        good = _sweep_doc("good", [
-            (x, {"lat_us": (5 + 2 * x) * (1.02 if i % 2 else 0.98),
-                 "rate_per_sec": 300.0})
-            for i, x in enumerate(xs)])
-        path = _write(tmp, "SWEEP_good.json", good)
-        if check_sweep_file(path, tmp, 2.0) != 0:
-            rc |= fail("self-test: conforming sweep was rejected")
-        else:
-            print("self-test: conforming sweep accepted")
+        case("conforming sweep",
+             [(x, {"lat_us": (5 + 2 * x) * (1.02 if i % 2 else 0.98),
+                   "rate_per_sec": 300.0})
+              for i, x in enumerate(xs)],
+             [_metric("lat_us", "sim", 5.0, 2.0, 1.0, 0, 0.1, 4, 64),
+              _metric("rate_per_sec", "host", 300.0, 0.0, 0.0, 0,
+                      0.35, 4, 64)],
+             True)
 
         # 2. Envelope violation: latency 60% high.
-        bad_env = _sweep_doc("good", [
-            (x, {"lat_us": (5 + 2 * x) * 1.6,
-                 "rate_per_sec": 100.0}) for x in xs])
-        path = _write(tmp, "SWEEP_good.json", bad_env)
-        if check_sweep_file(path, tmp, 2.0) == 0:
-            rc |= fail("self-test: envelope violation was accepted")
-        else:
-            print("self-test: envelope violation rejected (good)")
+        case("envelope violation",
+             [(x, {"lat_us": (5 + 2 * x) * 1.6,
+                   "rate_per_sec": 100.0}) for x in xs],
+             [_metric("lat_us", "sim", 8.0, 3.2, 1.0, 0, 0.1, 4, 64),
+              _metric("rate_per_sec", "host", 100.0, 0.0, 0.0, 0,
+                      0.35, 4, 64)],
+             False)
 
         # 3. Scaling-class regression hiding inside the loose host
         #    envelope: the flat rate turned into x^0.75 growth (x8
         #    over the domain). Every normalized point stays within
         #    1000%, so only the class check can catch it — and it
         #    must clear the doubled host tolerance.
-        bad_class = _sweep_doc("good", [
-            (x, {"lat_us": 5 + 2 * x,
-                 "rate_per_sec": 100.0 * (x / 4.0) ** 0.75})
-            for x in xs])
-        path = _write(tmp, "SWEEP_good.json", bad_class)
-        if check_sweep_file(path, tmp, 2.0) == 0:
-            rc |= fail(
-                "self-test: scaling-class regression was accepted")
-        else:
-            print("self-test: scaling-class regression rejected "
-                  "(good)")
+        case("scaling-class regression",
+             [(x, {"lat_us": 5 + 2 * x,
+                   "rate_per_sec": 100.0 * (x / 4.0) ** 0.75})
+              for x in xs],
+             [_metric("lat_us", "sim", 5.0, 2.0, 1.0, 0, 0.1, 4, 64),
+              _metric("rate_per_sec", "host", 0.0,
+                      100.0 / 4.0 ** 0.75, 0.75, 0, 0.35, 4, 64)],
+             False)
 
-        # 4. The refit mirror recovers a known law.
-        m = refit([(x, 3.0 + 0.5 * x * math.log2(x)) for x in xs])
-        if m["constant"] or m["exp"] != 1.0 or m["log"] != 1:
-            rc |= fail(f"self-test: refit picked {term_text(m)} "
-                       f"for n*log2(n) data")
-        else:
-            print("self-test: refit recovers n*log2(n) (good)")
+        # 4. A sweep whose fresh fit was never written.
+        case("sweep without a fresh fit",
+             [(x, {"lat_us": 5 + 2 * x, "rate_per_sec": 100.0})
+              for x in xs],
+             None, False)
     print("self-test:", "FAIL" if rc else "all checks passed")
     return rc
 
