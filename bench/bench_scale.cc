@@ -13,9 +13,9 @@
  * traffic with conservative-window handoffs — reduced to pure kernel
  * overhead, so the sweep isolates what sharding buys.
  *
- * threads=1 runs the sequential kernel (the same degenerate path the
- * machine uses); rows report events/sec and the speedup over the
- * sequential row of the same size.
+ * threads=1 runs one shard (the sequential loop the machine uses);
+ * rows report events/sec and the speedup over the one-shard row of
+ * the same size.
  *
  * --window-batch appends a small-torus sweep that prices the
  * conservative-window barrier: events per window, wall microseconds
@@ -31,14 +31,13 @@
 #include <chrono>
 #include <cstdio>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "base/logging.hh"
 #include "base/table.hh"
 #include "obs/cli.hh"
-#include "sim/shardq.hh"
+#include "sim/eventq.hh"
 
 using namespace ap;
 using namespace ap::sim;
@@ -76,24 +75,18 @@ run_case(int side, int threads, Tick horizon)
 {
     const int cells = side * side;
 
-    std::unique_ptr<Simulator> owner;
-    if (threads <= 1) {
-        owner = std::make_unique<Simulator>();
-    } else {
-        ShardConfig sc;
-        sc.shards = threads;
-        sc.lookahead = lookahead;
-        sc.affinityMap = [cells, threads](int a) {
-            if (a < 0)
-                return 0;
-            if (a >= cells)
-                return threads - 1;
-            return static_cast<int>(static_cast<long long>(a) *
-                                    threads / cells);
-        };
-        owner = std::make_unique<ShardedSimulator>(sc);
-    }
-    Simulator &sim = *owner;
+    ShardConfig sc;
+    sc.shards = threads;
+    sc.lookahead = lookahead;
+    sc.affinityMap = [cells, threads](int a) {
+        if (a < 0)
+            return 0;
+        if (a >= cells)
+            return threads - 1;
+        return static_cast<int>(static_cast<long long>(a) * threads /
+                                cells);
+    };
+    Simulator sim(sc);
 
     std::vector<std::uint64_t> state(
         static_cast<std::size_t>(cells));
@@ -139,8 +132,7 @@ run_case(int side, int threads, Tick horizon)
     CaseResult r;
     r.events = sim.executed();
     r.seconds = std::chrono::duration<double>(t1 - t0).count();
-    if (auto *sh = dynamic_cast<ShardedSimulator *>(&sim))
-        r.windows = sh->windows();
+    r.windows = sim.windows();
     return r;
 }
 

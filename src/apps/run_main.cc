@@ -28,7 +28,6 @@
 #include "obs/json.hh"
 #include "obs/span.hh"
 #include "sim/fault.hh"
-#include "sim/shardq.hh"
 
 using namespace ap;
 using namespace ap::core;
@@ -72,12 +71,12 @@ usage(const char *prog)
         "                     overflows|pagefaults|jitter|lossy|chaos\n"
         "  --seed=N           fault-plan seed (default 1)\n"
         "  --reliable         reliable-delivery protocol layer on\n"
-        "  --threads=N        event-kernel worker threads (default 1\n"
-        "                     = sequential kernel; N>1 shards the\n"
-        "                     event queue per cell region)\n"
-        "  --deterministic    with --threads>1: canonical-order merge\n"
-        "                     of same-tick cross-shard deliveries, so\n"
-        "                     the run is byte-identical to --threads=1\n"
+        "  --threads=N        event-kernel shards, one host thread\n"
+        "                     each (default 1 = the sequential loop;\n"
+        "                     N>1 shards the event queue per cell region)\n"
+        "  --deterministic    with --threads>1: run events serially in\n"
+        "                     the one-shard order, so the run is\n"
+        "                     byte-identical to --threads=1\n"
         "  --kill=CELL@US     fail-stop CELL at US microseconds\n"
         "                     (survivors reconfigure; repeatable)\n"
         "  --stats-out=FILE   write the stats registry as JSON\n"
@@ -322,8 +321,8 @@ main(int argc, char **argv)
     });
 
     std::printf("%s", machine.report().c_str());
-    if (sim::ShardedSimulator *sh = machine.sharded())
-        std::printf("%s", sh->report().c_str());
+    if (machine.sim().shards() > 1)
+        std::printf("%s", machine.sim().report().c_str());
     if (result.deadlock)
         std::printf("DEADLOCK: %zu cells stuck\n",
                     result.stuck.size());

@@ -130,17 +130,18 @@ struct MachineConfig
     HwTimings timings;
 
     /**
-     * Host worker threads driving the event kernel. 1 selects the
-     * sequential kernel (sim/eventq.hh); N > 1 shards the event
-     * queue over min(N, cells) workers with conservative windows
-     * (sim/shardq.hh). Cells map to shards in contiguous blocks.
+     * Host worker threads driving the event kernel (sim/eventq.hh):
+     * it runs min(N, cells) shards. 1 is the sequential loop; N > 1
+     * runs one shard per worker with conservative windows. Cells map
+     * to shards in contiguous blocks.
      */
     int threads = 1;
     /**
-     * With threads > 1: execute events serially in the sequential
-     * kernel's global order while keeping all shard routing and
-     * handoff accounting — tick histories and stats dumps become
-     * byte-identical to a threads=1 run (see sim/shardq.hh).
+     * With threads > 1: execute events serially in the one-shard
+     * global order while keeping all shard routing and handoff
+     * accounting — tick histories and stats dumps become
+     * byte-identical to a threads=1 run. Needed because parallel
+     * machine runs do not repeat run-to-run (sim/eventq.hh).
      */
     bool deterministic = false;
     /**

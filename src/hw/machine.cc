@@ -6,7 +6,6 @@
 
 #include "base/logging.hh"
 #include "obs/json.hh"
-#include "sim/shardq.hh"
 
 namespace ap::hw
 {
@@ -35,13 +34,11 @@ derive_lookahead(const MachineConfig &cfg)
     return l < 1 ? 1 : l;
 }
 
-std::unique_ptr<sim::Simulator>
-make_kernel(const MachineConfig &cfg)
+sim::ShardConfig
+kernel_config(const MachineConfig &cfg)
 {
-    if (cfg.threads <= 1)
-        return std::make_unique<sim::Simulator>();
     sim::ShardConfig sc;
-    sc.shards = std::min(cfg.threads, cfg.cells);
+    sc.shards = std::max(1, std::min(cfg.threads, cfg.cells));
     sc.lookahead = derive_lookahead(cfg);
     sc.deterministic = cfg.deterministic;
     // Contiguous cell blocks per shard: squarest() numbers cells
@@ -55,26 +52,13 @@ make_kernel(const MachineConfig &cfg)
         return static_cast<int>(static_cast<long long>(a) * shards /
                                 cells);
     };
-    return std::make_unique<sim::ShardedSimulator>(sc);
+    return sc;
 }
 
 } // namespace
 
-sim::ShardedSimulator *
-Machine::sharded()
-{
-    return dynamic_cast<sim::ShardedSimulator *>(&simulator);
-}
-
-const sim::ShardedSimulator *
-Machine::sharded() const
-{
-    return dynamic_cast<const sim::ShardedSimulator *>(&simulator);
-}
-
 Machine::Machine(MachineConfig config)
-    : cfg(config), faultInj(cfg.faults), simOwner(make_kernel(cfg)),
-      simulator(*simOwner),
+    : cfg(config), faultInj(cfg.faults), simulator(kernel_config(cfg)),
       tnetNet(simulator, net::Torus::squarest(cfg.cells), cfg.tnet),
       bnetNet(simulator, cfg.cells, cfg.bnet),
       snetNet(simulator, cfg.cells, cfg.snet),
@@ -122,19 +106,16 @@ Machine::Machine(MachineConfig config)
     // T-net, so the MSC+ can bypass the Link vtable on every send.
     net::Tnet *direct = rnetNet ? nullptr : &tnetNet;
     // One payload pool per kernel shard, shared by that shard's
-    // cells. The cell->pool mapping must match make_kernel's
+    // cells. The cell->pool mapping must match kernel_config's
     // affinity map so each pool is only touched from its own shard.
-    int poolCount = sharded() ? sharded()->shards() : 1;
+    int poolCount = simulator.shards();
     payloadPools.reserve(static_cast<std::size_t>(poolCount));
     for (int s = 0; s < poolCount; ++s)
         payloadPools.push_back(std::make_unique<BufferPool>());
     cells.reserve(static_cast<std::size_t>(cfg.cells));
     for (int i = 0; i < cfg.cells; ++i) {
-        int shard =
-            poolCount > 1
-                ? static_cast<int>(static_cast<long long>(i) *
-                                   poolCount / cfg.cells)
-                : 0;
+        int shard = static_cast<int>(static_cast<long long>(i) *
+                                     poolCount / cfg.cells);
         cells.push_back(std::make_unique<Cell>(
             simulator, cfg, i, link,
             *payloadPools[static_cast<std::size_t>(shard)], direct));
@@ -162,13 +143,12 @@ Machine::Machine(MachineConfig config)
             k.cell, us_to_ticks(k.atUs),
             [this, id = k.cell]() { fail_cell(id); });
     }
-    // Kernel telemetry taps: the sharded kernel reports each parallel
+    // Kernel telemetry taps: a sharded kernel reports each parallel
     // window through this hook (fired on the coordinator while every
     // worker is parked) and the machine forwards it to the tracer's
     // worker tracks and the barrier_wait critical-path stage.
-    if (sim::ShardedSimulator *sh = sharded())
-        sh->set_window_hook(
-            [this](const sim::WindowRecord &w) { on_window(w); });
+    simulator.set_window_hook(
+        [this](const sim::WindowRecord &w) { on_window(w); });
     register_stats();
     register_kernel_stats();
 }
@@ -514,8 +494,10 @@ Machine::register_kernel_stats()
         return CellMemory::image_cache_misses();
     });
 
-    const sim::ShardedSimulator *sh = sharded();
-    if (!sh)
+    // Shard and window telemetry exists only with shards > 1; a
+    // one-shard machine's sim subtree stays kernel-independent.
+    const sim::Simulator *sh = &simulator;
+    if (sh->shards() == 1)
         return;
     statsReg.add_gauge("sim.kernel.shards", [sh]() {
         return static_cast<std::uint64_t>(sh->shards());

@@ -28,12 +28,6 @@
 #include "sim/eventq.hh"
 #include "sim/fault.hh"
 
-namespace ap::sim
-{
-class ShardedSimulator;
-struct WindowRecord;
-}
-
 namespace ap::hw
 {
 
@@ -47,13 +41,10 @@ class Machine
     Machine(const Machine &) = delete;
     Machine &operator=(const Machine &) = delete;
 
-    /** The event kernel driving this machine (sequential with
-     *  cfg.threads == 1, sharded otherwise). */
+    /** The event kernel driving this machine: min(cfg.threads,
+     *  cells) shards, so sim().shards() == 1 runs the sequential
+     *  loop. */
     sim::Simulator &sim() { return simulator; }
-
-    /** The sharded kernel, or nullptr with cfg.threads == 1. */
-    sim::ShardedSimulator *sharded();
-    const sim::ShardedSimulator *sharded() const;
 
     /**
      * Drain the event queue. Equivalent to sim().run(), except that
@@ -284,17 +275,15 @@ class Machine
 
     MachineConfig cfg;
     sim::FaultInjector faultInj;
-    /** The kernel chosen by cfg.threads; everything below holds the
-     *  `simulator` reference only. */
-    std::unique_ptr<sim::Simulator> simOwner;
-    sim::Simulator &simulator;
+    /** Sharded by cfg.threads; everything below holds a reference. */
+    sim::Simulator simulator;
     net::Tnet tnetNet;
     net::Bnet bnetNet;
     net::Snet snetNet;
     std::unique_ptr<net::ReliableNet> rnetNet;
     DsmMap dsmMap;
     /** Payload buffer pools, one per kernel shard (one machine-wide
-     *  under the sequential kernel). Declared before `cells` so the
+     *  with one shard). Declared before `cells` so the
      *  MSC+ pool references outlive their users. */
     std::vector<std::unique_ptr<BufferPool>> payloadPools;
     std::vector<std::unique_ptr<Cell>> cells;

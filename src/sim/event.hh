@@ -2,8 +2,8 @@
  * @file
  * Pooled event representation for the simulation kernels.
  *
- * Two pieces, shared by the sequential Simulator and every
- * ShardedSimulator shard (sim/ladderq.hh ties them together):
+ * Two pieces, shared by every shard of the Simulator kernel
+ * (sim/ladderq.hh ties them together):
  *
  *   EventFn   A move-only, small-buffer-optimized callable replacing
  *             the per-event std::function<void()>. Closures up to
@@ -21,7 +21,7 @@
  *
  * Neither type is thread-safe on its own: a pool is owned by exactly
  * one queue, and every queue is only touched by one thread at a time
- * (the sequential kernel trivially; shard queues by the owning worker
+ * (a one-shard kernel trivially; shard queues by the owning worker
  * during rounds and by the coordinator at barriers, ordered by the
  * round handshake).
  */

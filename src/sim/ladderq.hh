@@ -1,7 +1,7 @@
 /**
  * @file
  * Ladder (calendar) event queue — the one pending-event structure
- * behind both simulation kernels.
+ * behind every shard of the simulation kernel.
  *
  * The machine's tick distribution is near-monotonic: almost every
  * event lands within a few microseconds of the clock (DMA stages,

@@ -5,12 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
 #include <vector>
 
 #include "sim/eventq.hh"
 
 using namespace ap;
 using namespace ap::sim;
+
+// One concrete kernel class: every now()/schedule*() call is a direct
+// call, and the machine holds the kernel by value.
+static_assert(!std::is_polymorphic_v<Simulator>);
 
 TEST(EventQueue, StartsAtTickZeroAndEmpty)
 {

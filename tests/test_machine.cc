@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 
 #include "base/logging.hh"
@@ -204,6 +205,36 @@ TEST(Machine, StatsJsonRoundTripsWithPerCellCounters)
     ss << in.rdbuf();
     EXPECT_TRUE(obs::json_valid(ss.str(), &err)) << err;
     std::remove(path.c_str());
+}
+
+TEST(Machine, ThreadsSetKernelShardsAndLeaveMachineStatsAlone)
+{
+    // threads=1 is a one-shard kernel with no shard or window
+    // telemetry; threads=4 (deterministic) shards it four ways. What
+    // the machine did — every stat outside the kernel's "sim."
+    // self-telemetry — must not depend on the shard count.
+    auto run = [](int threads) {
+        hw::MachineConfig cfg = small(8);
+        cfg.threads = threads;
+        cfg.deterministic = true;
+        auto m = std::make_unique<hw::Machine>(cfg);
+        run_spmd(*m, [](Context &ctx) { ring_program(ctx, 3); });
+        return m;
+    };
+    std::unique_ptr<hw::Machine> one = run(1);
+    std::unique_ptr<hw::Machine> four = run(4);
+    EXPECT_EQ(one->sim().shards(), 1);
+    EXPECT_EQ(four->sim().shards(), 4);
+
+    const obs::StatsRegistry &r1 = one->stats_registry();
+    EXPECT_NE(r1.find("sim.executed_events"), nullptr);
+    EXPECT_EQ(r1.find("sim.kernel.shards"), nullptr);
+    EXPECT_EQ(r1.find("sim.window.count"), nullptr);
+    EXPECT_EQ(r1.find("sim.shard.0.executed"), nullptr);
+    EXPECT_EQ(four->stats_registry().value("sim.kernel.shards"), 4u);
+
+    EXPECT_EQ(r1.dump_json(false, "sim."),
+              four->stats_registry().dump_json(false, "sim."));
 }
 
 TEST(Machine, FaultHookCoversEveryCell)

@@ -1,9 +1,10 @@
 /**
  * @file
- * Unit tests of the sharded parallel event kernel (sim/shardq.hh):
- * lookahead/horizon math, cross-shard handoff ordering, canonical
- * same-tick merges, safe-horizon execution, determinism properties,
- * strict/relaxed lookahead-violation handling, and the kill path
+ * Unit tests of the event kernel with more than one shard
+ * (sim/eventq.hh): lookahead/horizon math, cross-shard handoff
+ * ordering, canonical same-tick merges, safe-horizon execution,
+ * determinism properties against the one-shard loop, the
+ * lookahead-violation panic, window telemetry, and the kill path
  * under worker threads (SpmdResult::failedCells).
  */
 
@@ -18,7 +19,6 @@
 #include "hw/config.hh"
 #include "hw/machine.hh"
 #include "sim/eventq.hh"
-#include "sim/shardq.hh"
 
 using namespace ap;
 using namespace ap::sim;
@@ -100,33 +100,6 @@ struct Workload
 
 } // namespace
 
-TEST(ShardQ, SingleShardMatchesSequentialBitForBit)
-{
-    const int cells = 8, hops = 50;
-
-    Simulator seq;
-    TickHistory seqHist;
-    seq.set_history(&seqHist);
-    Workload wseq(cells);
-    wseq.start(seq, cells, hops);
-    Tick seqEnd = seq.run();
-
-    ShardConfig cfg;
-    cfg.shards = 1;
-    cfg.lookahead = kLookahead;
-    ShardedSimulator sh(cfg);
-    TickHistory shHist;
-    sh.set_history(&shHist);
-    Workload wsh(cells);
-    wsh.start(sh, cells, hops);
-    Tick shEnd = sh.run();
-
-    EXPECT_EQ(seqEnd, shEnd);
-    EXPECT_EQ(seq.executed(), sh.executed());
-    EXPECT_EQ(seqHist.digest(), shHist.digest());
-    EXPECT_EQ(wseq.digest(), wsh.digest());
-}
-
 TEST(ShardQ, DeterministicModeMatchesSequentialAcrossShardCounts)
 {
     const int cells = 12, hops = 40;
@@ -143,7 +116,7 @@ TEST(ShardQ, DeterministicModeMatchesSequentialAcrossShardCounts)
         cfg.shards = shards;
         cfg.lookahead = kLookahead;
         cfg.deterministic = true;
-        ShardedSimulator sh(cfg);
+        Simulator sh(cfg);
         TickHistory hist;
         sh.set_history(&hist);
         Workload w(cells);
@@ -162,17 +135,16 @@ TEST(ShardQ, SafeHorizonIsMinPendingPlusLookahead)
     ShardConfig cfg;
     cfg.shards = 4;
     cfg.lookahead = kLookahead;
-    ShardedSimulator sh(cfg);
+    Simulator sh(cfg);
 
-    EXPECT_EQ(sh.safe_horizon(0), max_tick); // idle: no bound
+    EXPECT_EQ(sh.safe_horizon(), max_tick); // idle: no bound
     sh.schedule_for(0, 500, [] {});
     sh.schedule_for(1, 300, [] {});
     sh.schedule_for(2, 900, [] {});
     EXPECT_EQ(sh.shard_next(0), 500u);
     EXPECT_EQ(sh.shard_next(1), 300u);
     EXPECT_EQ(sh.shard_next(3), max_tick);
-    for (int s = 0; s < 4; ++s)
-        EXPECT_EQ(sh.safe_horizon(s), 300u + kLookahead);
+    EXPECT_EQ(sh.safe_horizon(), 300u + kLookahead);
 }
 
 TEST(ShardQ, HorizonSaturatesAtMaxTick)
@@ -180,9 +152,9 @@ TEST(ShardQ, HorizonSaturatesAtMaxTick)
     ShardConfig cfg;
     cfg.shards = 2;
     cfg.lookahead = max_tick;
-    ShardedSimulator sh(cfg);
+    Simulator sh(cfg);
     sh.schedule_for(0, 10, [] {});
-    EXPECT_EQ(sh.safe_horizon(0), max_tick);
+    EXPECT_EQ(sh.safe_horizon(), max_tick);
 }
 
 TEST(ShardQ, DefaultAffinityMapIsModuloWithNegativesOnShardZero)
@@ -190,7 +162,7 @@ TEST(ShardQ, DefaultAffinityMapIsModuloWithNegativesOnShardZero)
     ShardConfig cfg;
     cfg.shards = 3;
     cfg.lookahead = kLookahead;
-    ShardedSimulator sh(cfg);
+    Simulator sh(cfg);
     EXPECT_EQ(sh.shard_of(0), 0);
     EXPECT_EQ(sh.shard_of(4), 1);
     EXPECT_EQ(sh.shard_of(5), 2);
@@ -203,7 +175,7 @@ TEST(ShardQ, CustomAffinityMapRoutesContiguousBlocks)
     cfg.shards = 2;
     cfg.lookahead = kLookahead;
     cfg.affinityMap = [](int a) { return a < 8 ? 0 : 1; };
-    ShardedSimulator sh(cfg);
+    Simulator sh(cfg);
     EXPECT_EQ(sh.shard_of(7), 0);
     EXPECT_EQ(sh.shard_of(8), 1);
 
@@ -223,7 +195,7 @@ TEST(ShardQ, CrossShardHandoffCountsBothSides)
     cfg.shards = 2;
     cfg.lookahead = kLookahead;
     cfg.deterministic = true;
-    ShardedSimulator sh(cfg);
+    Simulator sh(cfg);
 
     sh.schedule_for(0, 0, [&] {
         // Executes on shard 0; schedules onto shard 1.
@@ -245,7 +217,7 @@ TEST(ShardQ, ParallelSameTickHandoffsMergeInCanonicalOrder)
     ShardConfig cfg;
     cfg.shards = 3;
     cfg.lookahead = kLookahead;
-    ShardedSimulator sh(cfg);
+    Simulator sh(cfg);
 
     std::vector<int> order; // tags appended on shard 0 (one thread)
     const Tick target = 1000;
@@ -278,7 +250,7 @@ TEST(ShardQ, ParallelRunIsReproducibleRunToRun)
         ShardConfig cfg;
         cfg.shards = 4;
         cfg.lookahead = kLookahead;
-        ShardedSimulator sh(cfg);
+        Simulator sh(cfg);
         TickHistory hist;
         sh.set_history(&hist);
         Workload w(cells);
@@ -308,7 +280,7 @@ TEST(ShardQ, ParallelMatchesSequentialEndState)
     ShardConfig cfg;
     cfg.shards = 4;
     cfg.lookahead = kLookahead;
-    ShardedSimulator sh(cfg);
+    Simulator sh(cfg);
     Workload w(cells);
     w.start(sh, cells, hops);
     sh.run();
@@ -326,7 +298,7 @@ TEST(ShardQ, NoEventFiresBeforeItsShardsSafeHorizon)
     ShardConfig cfg;
     cfg.shards = 4;
     cfg.lookahead = kLookahead;
-    ShardedSimulator sh(cfg);
+    Simulator sh(cfg);
 
     struct Probe
     {
@@ -373,7 +345,7 @@ TEST(ShardQDeath, StrictLookaheadViolationPanics)
     cfg.lookahead = kLookahead;
     ASSERT_DEATH(
         {
-            ShardedSimulator sh(cfg);
+            Simulator sh(cfg);
             sh.schedule_for(0, 10, [&] {
                 // Cross-shard with a delay below the lookahead.
                 sh.schedule_after_for(1, kLookahead / 2, [] {});
@@ -381,27 +353,6 @@ TEST(ShardQDeath, StrictLookaheadViolationPanics)
             sh.run();
         },
         "lookahead violation");
-}
-
-TEST(ShardQ, RelaxedLookaheadViolationClampsAndCounts)
-{
-    ShardConfig cfg;
-    cfg.shards = 2;
-    cfg.lookahead = kLookahead;
-    ShardedSimulator sh(cfg);
-    sh.set_strict_lookahead(false);
-
-    Tick fired = 0;
-    sh.schedule_for(0, 10, [&] {
-        sh.schedule_after_for(1, 5, [&] { fired = sh.now(); });
-    });
-    sh.run();
-
-    EXPECT_EQ(sh.lookahead_violations(), 1u);
-    // Clamped to the window boundary: never before creation + the
-    // window's end, never lost.
-    EXPECT_GE(fired, 10u + 5u);
-    EXPECT_EQ(fired, 10u + kLookahead); // window end = min + lookahead
 }
 
 TEST(ShardQDeath, SchedulingInThePastPanics)
@@ -413,7 +364,7 @@ TEST(ShardQDeath, SchedulingInThePastPanics)
     cfg.deterministic = true;
     ASSERT_DEATH(
         {
-            ShardedSimulator sh(cfg);
+            Simulator sh(cfg);
             sh.schedule_for(0, 50, [&] {
                 sh.schedule_for(1, 10, [] {});
             });
@@ -427,7 +378,7 @@ TEST(ShardQ, RunUntilStopsAtLimitAndResumes)
     ShardConfig cfg;
     cfg.shards = 4;
     cfg.lookahead = kLookahead;
-    ShardedSimulator sh(cfg);
+    Simulator sh(cfg);
 
     int fired = 0;
     for (int i = 0; i < 4; ++i)
@@ -449,7 +400,7 @@ TEST(ShardQ, StepExecutesGloballyEarliestEvent)
     ShardConfig cfg;
     cfg.shards = 3;
     cfg.lookahead = kLookahead;
-    ShardedSimulator sh(cfg);
+    Simulator sh(cfg);
 
     std::vector<int> order;
     sh.schedule_for(2, 30, [&] { order.push_back(2); });
@@ -469,7 +420,7 @@ TEST(ShardQ, ReportNamesShardsWindowsAndViolations)
     ShardConfig cfg;
     cfg.shards = 2;
     cfg.lookahead = kLookahead;
-    ShardedSimulator sh(cfg);
+    Simulator sh(cfg);
     sh.schedule_for(0, 1, [] {});
     sh.schedule_for(1, 2, [] {});
     sh.run();
@@ -486,7 +437,10 @@ TEST(ShardQ, ParallelRunRecordsWindowTelemetry)
     ShardConfig cfg;
     cfg.shards = 2;
     cfg.lookahead = kLookahead;
-    ShardedSimulator sh(cfg);
+    Simulator sh(cfg);
+    std::vector<WindowRecord> recs;
+    sh.set_window_hook(
+        [&](const WindowRecord &rec) { recs.push_back(rec); });
     Workload w(cells);
     w.start(sh, cells, hops);
     sh.run();
@@ -501,10 +455,7 @@ TEST(ShardQ, ParallelRunRecordsWindowTelemetry)
     EXPECT_GE(agg.imbalanceMaxX1000, 1000u);
     EXPECT_GE(agg.imbalanceSumX1000, 1000u);
 
-    std::vector<WindowRecord> recs = sh.window_records();
-    ASSERT_FALSE(recs.empty());
-    EXPECT_EQ(recs.size() + sh.window_records_dropped(),
-              agg.windows);
+    ASSERT_EQ(recs.size(), agg.windows);
     std::uint64_t events = 0;
     for (std::size_t i = 0; i < recs.size(); ++i) {
         if (i > 0) {
@@ -522,9 +473,7 @@ TEST(ShardQ, ParallelRunRecordsWindowTelemetry)
         EXPECT_EQ(maxShard, recs[i].maxShardEvents);
         events += recs[i].events;
     }
-    if (sh.window_records_dropped() == 0) {
-        EXPECT_EQ(events, sh.executed());
-    }
+    EXPECT_EQ(events, sh.executed());
 
     // Both shards ran events and the registry-facing per-shard
     // counters saw them.
@@ -537,7 +486,7 @@ TEST(ShardQ, WindowHookSeesEveryWindowInOrder)
     ShardConfig cfg;
     cfg.shards = 2;
     cfg.lookahead = kLookahead;
-    ShardedSimulator sh(cfg);
+    Simulator sh(cfg);
     std::vector<std::uint64_t> indices;
     sh.set_window_hook([&](const WindowRecord &rec) {
         indices.push_back(rec.index);
@@ -553,19 +502,20 @@ TEST(ShardQ, WindowHookSeesEveryWindowInOrder)
 
 TEST(ShardQ, SingleShardHasNoWindowTelemetry)
 {
-    // shards == 1 takes the sequential fast path: the windowed
-    // machinery (and its bookkeeping) must not run at all.
+    // shards == 1 runs the sequential loop: the windowed machinery
+    // (and its bookkeeping) must not run at all.
     ShardConfig cfg;
     cfg.shards = 1;
-    ShardedSimulator sh(cfg);
+    Simulator sh(cfg);
+    std::uint64_t hooked = 0;
+    sh.set_window_hook([&](const WindowRecord &) { ++hooked; });
     Workload w(8);
     w.start(sh, 8, 20);
     sh.run();
 
     EXPECT_GT(sh.executed(), 0u);
     EXPECT_EQ(sh.window_stats().windows, 0u);
-    EXPECT_TRUE(sh.window_records().empty());
-    EXPECT_EQ(sh.window_records_dropped(), 0u);
+    EXPECT_EQ(hooked, 0u);
     EXPECT_EQ(sh.shard_stats(0).barrierWaitNs, 0u);
 }
 
@@ -575,14 +525,16 @@ TEST(ShardQ, DeterministicModeHasNoWindowTelemetry)
     cfg.shards = 2;
     cfg.lookahead = kLookahead;
     cfg.deterministic = true;
-    ShardedSimulator sh(cfg);
+    Simulator sh(cfg);
+    std::uint64_t hooked = 0;
+    sh.set_window_hook([&](const WindowRecord &) { ++hooked; });
     Workload w(8);
     w.start(sh, 8, 20);
     sh.run();
 
     EXPECT_GT(sh.executed(), 0u);
     EXPECT_EQ(sh.window_stats().windows, 0u);
-    EXPECT_TRUE(sh.window_records().empty());
+    EXPECT_EQ(hooked, 0u);
 }
 
 namespace
