@@ -252,7 +252,7 @@ GangScheduler::launch_locked(JobRecord &r, Placement place)
             strprintf("job%da%lluc%d", r.spec.id,
                       static_cast<unsigned long long>(r.attempts), c),
             [this, ap, i, c](sim::Process &) {
-                // CommError cannot cross the fiber boundary; catch it
+                // CommError cannot cross a fiber switch; catch it
                 // here, exactly like core::run_spmd does. A failed
                 // cell's own demise is not a job error — the doom
                 // path already covers its attempt.

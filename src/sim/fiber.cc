@@ -1,8 +1,12 @@
 #include "sim/fiber.hh"
 
+#include <cstddef>
+#include <cstdint>
+#include <new>
+
 #include "base/logging.hh"
 
-// ThreadSanitizer must be told about ucontext switches: without the
+// ThreadSanitizer must be told about fiber switches: without the
 // fiber annotations it sees one OS thread's shadow stack jumping
 // between unrelated stacks and reports phantom races. Worker threads
 // of the sharded kernel resume cell fibers, so the TSan CI job runs
@@ -26,7 +30,7 @@ void __tsan_switch_to_fiber(void *fiber, unsigned flags);
 
 // AddressSanitizer likewise needs the switches announced: it keeps
 // one fake stack + poison map per stack region, and an exception
-// unwinding across an unannounced ucontext switch unpoisons the
+// unwinding across an unannounced fiber switch unpoisons the
 // wrong region — leaving stale redzones on the fiber stack that a
 // later frame at the same depth trips over as a phantom
 // stack-buffer-overflow.
@@ -49,6 +53,55 @@ void __sanitizer_finish_switch_fiber(void *fake_stack_save,
 }
 #endif
 
+#if defined(__x86_64__)
+// The x86-64 switch: save what the SysV ABI says a call preserves --
+// rbx, rbp, r12-r15 and the MXCSR / x87 control words -- on the
+// current stack, store the stack pointer to *save, load the other
+// context's stack pointer and pop its registers. The caller-saved
+// registers are dead across the call by the ABI, so nothing else
+// needs saving. Unlike swapcontext there is no signal-mask system
+// call (nothing in the program changes the mask per fiber), and of
+// the FP environment only the control words travel with a context:
+// the ABI makes the status flags caller-saved. The final `ret` enters
+// a fresh stack the CPU's shadow stack has never seen, so this file
+// is built without shadow-stack support (src/sim/CMakeLists.txt).
+//
+// Frame layout, low to high: x87 control word at +0, MXCSR at +8,
+// then r15 r14 r13 r12 rbx rbp, then the return address.
+extern "C" void ap_fiber_switch(void **save, void *load);
+asm(R"(
+    .pushsection .text
+    .globl ap_fiber_switch
+    .hidden ap_fiber_switch
+    .type ap_fiber_switch, @function
+    .p2align 4
+ap_fiber_switch:
+    pushq %rbp
+    pushq %rbx
+    pushq %r12
+    pushq %r13
+    pushq %r14
+    pushq %r15
+    subq $16, %rsp
+    stmxcsr 8(%rsp)
+    fnstcw (%rsp)
+    movq %rsp, (%rdi)
+    movq %rsi, %rsp
+    ldmxcsr 8(%rsp)
+    fldcw (%rsp)
+    addq $16, %rsp
+    popq %r15
+    popq %r14
+    popq %r13
+    popq %r12
+    popq %rbx
+    popq %rbp
+    ret
+    .size ap_fiber_switch, .-ap_fiber_switch
+    .popsection
+)");
+#endif
+
 namespace ap::sim
 {
 
@@ -56,6 +109,58 @@ namespace
 {
 
 thread_local Fiber *current_fiber = nullptr;
+
+#if defined(__x86_64__)
+/** What ap_fiber_switch pops on the first switch into a fiber. */
+struct BootstrapFrame
+{
+    std::uint16_t fpuControl;
+    alignas(8) std::uint32_t mxcsr;
+    alignas(8) std::uint64_t regs[6]; // r15 r14 r13 r12 rbx rbp: zero
+    void (*entry)() noexcept;
+    /** The entry's return address: null ends backtraces (the entry
+     *  never returns). */
+    void *end;
+};
+static_assert(offsetof(BootstrapFrame, mxcsr) == 8 &&
+              offsetof(BootstrapFrame, regs) == 16 &&
+              sizeof(BootstrapFrame) == 80);
+
+/**
+ * Build the bootstrap frame at the top of [stack, stack + bytes) and
+ * return it as the fiber's saved stack pointer. The return-address
+ * slot sits 16-byte aligned, so @p entry starts with the stack
+ * pointer at 8 mod 16, as after a call. The FP control words are
+ * copied from the calling thread, as getcontext would.
+ */
+void *
+bootstrap(unsigned char *stack, std::size_t bytes, void (*entry)() noexcept)
+{
+    auto top = reinterpret_cast<std::uintptr_t>(stack + bytes) &
+               ~std::uintptr_t{15};
+    auto *frame = new (reinterpret_cast<void *>(
+        top - sizeof(BootstrapFrame))) BootstrapFrame{};
+    asm("stmxcsr %0\n\tfnstcw %1"
+        : "=m"(frame->mxcsr), "=m"(frame->fpuControl));
+    frame->entry = entry;
+    return frame;
+}
+
+// Always inlined: under TSan nothing instrumented may run between
+// __tsan_switch_to_fiber and the stack switch.
+[[gnu::always_inline]] inline void
+switch_context(void **from, void **to)
+{
+    ap_fiber_switch(from, *to);
+}
+#else
+[[gnu::always_inline]] inline void
+switch_context(ucontext_t *from, ucontext_t *to)
+{
+    if (swapcontext(from, to) != 0)
+        panic("swapcontext failed");
+}
+#endif
 
 #ifdef AP_ASAN_FIBERS
 /**
@@ -106,7 +211,7 @@ Fiber::current()
 }
 
 void
-Fiber::trampoline()
+Fiber::trampoline() noexcept
 {
     Fiber *self = current_fiber;
 #ifdef AP_ASAN_FIBERS
@@ -117,12 +222,9 @@ Fiber::trampoline()
 #endif
     self->body();
     self->done = true;
-    // Final switch back to the resumer. Done explicitly rather than
-    // by returning through uc_link: under TSan, nothing instrumented
-    // may run between __tsan_switch_to_fiber and the actual stack
-    // switch, and a return would execute this function's own
-    // instrumented epilogue after the annotation — corrupting the
-    // caller's shadow stack. (uc_link stays set as a backstop.)
+    // Final switch back to the resumer; this function never returns.
+    // Under TSan nothing instrumented may run between
+    // __tsan_switch_to_fiber and the stack switch.
 #ifdef AP_TSAN_FIBERS
     __tsan_switch_to_fiber(self->tsanCaller, 0);
 #endif
@@ -132,7 +234,7 @@ Fiber::trampoline()
     __sanitizer_start_switch_fiber(nullptr, self->asanCallerBottom,
                                    self->asanCallerSize);
 #endif
-    swapcontext(&self->context, &self->schedulerContext);
+    switch_context(&self->context, &self->schedulerContext);
 }
 
 void
@@ -146,13 +248,16 @@ Fiber::resume()
     current_fiber = this;
     if (!started) {
         started = true;
+#if defined(__x86_64__)
+        context = bootstrap(stack.get(), stackBytes, &trampoline);
+#else
         if (getcontext(&context) != 0)
             panic("getcontext failed");
         context.uc_stack.ss_sp = stack.get();
         context.uc_stack.ss_size = stackBytes;
-        context.uc_link = &schedulerContext;
         makecontext(&context, reinterpret_cast<void (*)()>(&trampoline),
                     0);
+#endif
 #ifdef AP_TSAN_FIBERS
         tsanFiber = __tsan_create_fiber(0);
 #endif
@@ -165,8 +270,7 @@ Fiber::resume()
     void *fake = nullptr;
     __sanitizer_start_switch_fiber(&fake, stack.get(), stackBytes);
 #endif
-    if (swapcontext(&schedulerContext, &context) != 0)
-        panic("swapcontext into fiber failed");
+    switch_context(&schedulerContext, &context);
 #ifdef AP_ASAN_FIBERS
     __sanitizer_finish_switch_fiber(fake, nullptr, nullptr);
 #endif
@@ -187,8 +291,7 @@ Fiber::yield()
                                    self->asanCallerBottom,
                                    self->asanCallerSize);
 #endif
-    if (swapcontext(&self->context, &self->schedulerContext) != 0)
-        panic("swapcontext out of fiber failed");
+    switch_context(&self->context, &self->schedulerContext);
 #ifdef AP_ASAN_FIBERS
     // Back on the fiber: restore its fake stack and refresh the
     // resumer bounds — the sharded kernel may resume from a

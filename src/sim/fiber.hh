@@ -1,6 +1,6 @@
 /**
  * @file
- * Stackful fibers (ucontext-based cooperative coroutines).
+ * Stackful fibers (cooperative coroutines).
  *
  * Each simulated cell runs its SPMD program body on a fiber. The
  * event kernel resumes a fiber when its next action is due (a compute
@@ -8,12 +8,18 @@
  * fiber yields back whenever it blocks. This is the classic
  * parallel-machine-simulator structure and keeps user-facing example
  * code straight-line.
+ *
+ * On x86-64 a switch is a user-level stack switch that saves the
+ * callee-saved registers and the FP control words (fiber.cc), with
+ * no system call; other architectures switch through ucontext.
  */
 
 #ifndef AP_SIM_FIBER_HH
 #define AP_SIM_FIBER_HH
 
+#if !defined(__x86_64__)
 #include <ucontext.h>
+#endif
 
 #include <cstddef>
 #include <functional>
@@ -62,16 +68,29 @@ class Fiber
     bool finished() const { return done; }
 
   private:
-    static void trampoline();
+    /** First code run on the fiber stack. noexcept: an exception
+     *  escaping the body calls std::terminate here instead of
+     *  unwinding into the frame that started the fiber. */
+    static void trampoline() noexcept;
+
+#if defined(__x86_64__)
+    /** A suspended context is its saved stack pointer; the registers
+     *  it needs sit on that stack (see fiber.cc). */
+    using Context = void *;
+#else
+    using Context = ucontext_t;
+#endif
 
     std::function<void()> body;
-    /** Default-initialized (never memset): makecontext does not need
-     *  a zeroed stack, and value-initializing 256 KB per fiber used
+    /** Default-initialized (never memset): the bootstrap frame needs
+     *  no zeroed stack, and value-initializing 256 KB per fiber used
      *  to dominate short SPMD runs. */
     std::size_t stackBytes;
     std::unique_ptr<unsigned char[]> stack;
-    ucontext_t context;
-    ucontext_t schedulerContext;
+    /** The fiber while it is suspended. */
+    Context context{};
+    /** The resumer while the fiber runs. */
+    Context schedulerContext{};
     bool started = false;
     bool done = false;
     /** ThreadSanitizer fiber-context handles; null outside TSan
