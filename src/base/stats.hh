@@ -14,7 +14,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -89,7 +88,11 @@ class Accumulator
     double hi = 0.0;
 };
 
-/** Power-of-two bucketed histogram for sizes/distances. */
+/**
+ * Power-of-two bucketed histogram for sizes/distances. The counts
+ * live in a flat array grown to the highest bucket sampled, so a
+ * sample is a shift loop and an increment — no node allocation.
+ */
 class Histogram
 {
   public:
@@ -98,22 +101,31 @@ class Histogram
     sample(std::uint64_t v)
     {
         acc.sample(static_cast<double>(v));
-        ++buckets[bucket_of(v)];
+        auto b = static_cast<std::size_t>(bucket_of(v));
+        if (b >= counts.size())
+            counts.resize(b + 1);
+        ++counts[b];
     }
 
     /** The underlying scalar accumulator. */
     const Accumulator &scalar() const { return acc; }
 
-    /** Bucket index -> count map; bucket b covers [2^(b-1), 2^b). */
-    const std::map<int, std::uint64_t> &data() const { return buckets; }
+    /**
+     * Per-bucket sample counts; bucket b covers [2^(b-1), 2^b) and
+     * bucket 0 holds zeros. Sized to the highest bucket sampled
+     * (empty before the first sample); lower buckets may read 0.
+     */
+    const std::vector<std::uint64_t> &buckets() const { return counts; }
 
     /** Merge another histogram into this one. */
     void
     merge(const Histogram &o)
     {
         acc.merge(o.acc);
-        for (const auto &[b, c] : o.buckets)
-            buckets[b] += c;
+        if (o.counts.size() > counts.size())
+            counts.resize(o.counts.size());
+        for (std::size_t b = 0; b < o.counts.size(); ++b)
+            counts[b] += o.counts[b];
     }
 
     /** Bucket index for a value (0 -> bucket 0, else floor(log2)+1). */
@@ -130,7 +142,7 @@ class Histogram
 
   private:
     Accumulator acc;
-    std::map<int, std::uint64_t> buckets;
+    std::vector<std::uint64_t> counts;
 };
 
 } // namespace ap

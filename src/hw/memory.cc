@@ -44,6 +44,11 @@ struct FreeImage
  * The mutex is uncontended in practice (machines are built and torn
  * down from one thread); it only guards against concurrent machine
  * construction in multi-machine tests.
+ *
+ * The cache is never destroyed: a CellMemory destroyed during static
+ * destruction still finds it, and the images it holds at exit stay
+ * reachable from a static pointer, so leak checkers do not report
+ * them.
  */
 class ImageCache
 {
@@ -51,8 +56,8 @@ class ImageCache
     static ImageCache &
     instance()
     {
-        static ImageCache cache;
-        return cache;
+        static ImageCache *cache = new ImageCache;
+        return *cache;
     }
 
     bool

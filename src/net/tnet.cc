@@ -11,7 +11,8 @@ namespace ap::net
 
 Tnet::Tnet(sim::Simulator &sim, Torus topo, TnetParams params)
     : sim(sim), topo(topo), prm(params),
-      handlers(static_cast<std::size_t>(topo.size()))
+      handlers(static_cast<std::size_t>(topo.size())),
+      inFlight(static_cast<std::size_t>(topo.size()))
 {
 }
 
@@ -80,13 +81,45 @@ Tnet::schedule_held_delivery(Message msg, Tick arrive)
 }
 
 Tick
+Tnet::fifo_clamp(CellId src, CellId dst, Tick inject, Tick arrive)
+{
+    // Enforce FIFO per source-destination pair: a later injection may
+    // never arrive before an earlier one. Every arrival is at or after
+    // its injection, so an entry with arrive <= inject can never clamp
+    // and is dropped — exact under jitter, reorder, drop, duplicate
+    // and link contention alike. What remains is the source's
+    // in-flight set: a few entries, not one per pair ever used.
+    std::vector<InFlight> &mine =
+        inFlight[static_cast<std::size_t>(src)];
+    InFlight *pair = nullptr;
+    std::size_t keep = 0;
+    for (std::size_t i = 0; i < mine.size(); ++i) {
+        if (mine[i].arrive <= inject)
+            continue;
+        mine[keep] = mine[i];
+        if (mine[keep].dst == dst)
+            pair = &mine[keep];
+        ++keep;
+    }
+    mine.resize(keep);
+    if (!pair) {
+        mine.push_back({dst, arrive});
+        return arrive;
+    }
+    if (arrive < pair->arrive)
+        arrive = pair->arrive;
+    pair->arrive = arrive;
+    return arrive;
+}
+
+Tick
 Tnet::send(Message msg)
 {
     if (!topo.valid(msg.src) || !topo.valid(msg.dst))
         panic("send between invalid cells %d -> %d", msg.src, msg.dst);
 
-    // One lock covers the whole injection: FIFO clamp, contention
-    // table, stats and fault draws are machine-global, and senders on
+    // One lock covers the whole injection: the contention table,
+    // stats and fault draws are machine-global, and senders on
     // different shards may inject concurrently.
     std::lock_guard<std::mutex> lock(sendMutex);
 
@@ -112,15 +145,7 @@ Tnet::send(Message msg)
     if (inject_faults)
         arrive += faults->jitter();
 
-    // Enforce FIFO per source-destination pair: a later injection may
-    // never arrive before an earlier one.
-    std::uint64_t key = static_cast<std::uint64_t>(msg.src) *
-                            static_cast<std::uint64_t>(topo.size()) +
-                        static_cast<std::uint64_t>(msg.dst);
-    Tick &last = lastArrival[key];
-    if (arrive < last)
-        arrive = last;
-    last = arrive;
+    arrive = fifo_clamp(msg.src, msg.dst, inject, arrive);
 
     netStats.messages++;
     netStats.payloadBytes += msg.payload.size();

@@ -153,13 +153,26 @@ class Tnet final : public Link
     sim::FaultInjector *faults = nullptr;
     std::function<bool(CellId)> alive;
     std::vector<Deliver> handlers;
-    /** Serializes send(): the FIFO clamp, the link-contention table
-     *  and the aggregate stats are machine-global state touched by
-     *  every sending cell's shard. Delivery itself needs no lock —
-     *  the handler runs as an event on the destination's shard. */
+    /** Serializes send(): the link-contention table, the aggregate
+     *  stats and the fault injector's draws are machine-global state
+     *  touched by every sending cell's shard. (The FIFO clamp is
+     *  per source cell.) Delivery itself needs no lock — the handler
+     *  runs as an event on the destination's shard. */
     std::mutex sendMutex;
-    /** last arrival tick per (src * size + dst) pair, for FIFO. */
-    std::unordered_map<std::uint64_t, Tick> lastArrival;
+
+    /** One message of a source still in flight, for the FIFO clamp. */
+    struct InFlight
+    {
+        CellId dst;
+        Tick arrive;
+    };
+    /** Clamp the arrival of a @p src -> @p dst message injected at
+     *  @p inject behind that pair's in-flight traffic, and record it. */
+    Tick fifo_clamp(CellId src, CellId dst, Tick inject, Tick arrive);
+    /** Per source cell: the latest arrival of each destination it
+     *  still has a message in flight to. Entries that have arrived
+     *  are dropped on the next scan; they can never clamp. */
+    std::vector<std::vector<InFlight>> inFlight;
     /** per directed link (from * size + to) busy-until (contention). */
     std::unordered_map<std::uint64_t, Tick> linkBusy;
     TnetStats netStats;

@@ -194,13 +194,17 @@ histogram_json(const Histogram &h)
         static_cast<unsigned long long>(a.count()),
         json_number(a.sum()).c_str(), json_number(a.min()).c_str(),
         json_number(a.max()).c_str(), json_number(a.mean()).c_str());
+    // Only non-empty buckets, ascending.
     bool first = true;
-    for (const auto &[b, c] : h.data()) {
+    const std::vector<std::uint64_t> &counts = h.buckets();
+    for (std::size_t b = 0; b < counts.size(); ++b) {
+        if (counts[b] == 0)
+            continue;
         if (!first)
             out += ", ";
         first = false;
-        out += strprintf("\"b%d\": %llu", b,
-                         static_cast<unsigned long long>(c));
+        out += strprintf("\"b%zu\": %llu", b,
+                         static_cast<unsigned long long>(counts[b]));
     }
     out += "}}";
     return out;

@@ -10,30 +10,29 @@ namespace ap::sim
 namespace
 {
 
-/** a + b clamped to the tick horizon. */
-Tick
-sat_add(Tick a, Tick b)
-{
-    return a > max_tick - b ? max_tick : a + b;
-}
-
-/** Strict (when, seq) order — the kernel's total event order. */
-bool
-earlier(const EventNode *a, const EventNode *b)
-{
-    if (a->when != b->when)
-        return a->when < b->when;
-    return a->seq < b->seq;
-}
-
-/** Heap comparator: std::*_heap keep the "largest" at the top, so
- *  inverting `earlier` yields a min-heap on (when, seq). */
-struct HeapLater
+/** Overflow-heap comparator: std::*_heap keep the "largest" at the
+ *  top, so ordering by *later* (when, seq) yields a min-heap. */
+struct NodeLater
 {
     bool
     operator()(const EventNode *a, const EventNode *b) const
     {
-        return earlier(b, a);
+        if (a->when != b->when)
+            return a->when > b->when;
+        return a->seq > b->seq;
+    }
+};
+
+/** Front-heap comparator over the inline keys; same order. */
+struct EntryLater
+{
+    template <typename E>
+    bool
+    operator()(const E &a, const E &b) const
+    {
+        if (a.when != b.when)
+            return a.when > b.when;
+        return a.seq > b.seq;
     }
 };
 
@@ -51,22 +50,6 @@ LadderQueue::~LadderQueue()
 }
 
 void
-LadderQueue::heap_push(std::vector<EventNode *> &heap, EventNode *n)
-{
-    heap.push_back(n);
-    std::push_heap(heap.begin(), heap.end(), HeapLater{});
-}
-
-EventNode *
-LadderQueue::heap_pop(std::vector<EventNode *> &heap)
-{
-    std::pop_heap(heap.begin(), heap.end(), HeapLater{});
-    EventNode *n = heap.back();
-    heap.pop_back();
-    return n;
-}
-
-void
 LadderQueue::push(Tick when, std::uint64_t seq, int affinity,
                   EventFn fn)
 {
@@ -79,75 +62,84 @@ LadderQueue::push(Tick when, std::uint64_t seq, int affinity,
     ++numEvents;
 
     if (numEvents == 1) {
-        // Empty queue: re-anchor the whole geometry at this event so
+        // Empty queue: re-anchor the window just past this event so
         // a long-idle queue never funnels a new burst through stale
         // bucket bounds. All buckets are empty here by invariant.
-        front.push_back(n);
-        frontEnd = sat_add(when, 1);
-        bucketBase = frontEnd;
-        nextBucket = 0;
-        return;
+        cur = (when >> wShift) + 1;
+        frontEnd = bucket_start(cur);
     }
 
     if (when < frontEnd) {
-        heap_push(front, n);
+        front.push_back({when, seq, n});
+        std::push_heap(front.begin(), front.end(), EntryLater{});
         return;
     }
-
-    if (nextBucket < num_buckets) {
-        Tick off = when - bucketBase;
-        Tick b = off >> wShift;
-        if (b < static_cast<Tick>(num_buckets)) {
-            auto &head = buckets[static_cast<std::size_t>(b)];
-            n->next = head;
-            head = n;
-            ++ringCount;
-            return;
-        }
+    // when >= frontEnd implies (when >> wShift) >= cur.
+    if ((when >> wShift) - cur < static_cast<std::uint64_t>(num_buckets)) {
+        bucket_push(n);
+        return;
     }
-    heap_push(overflow, n);
+    overflow.push_back(n);
+    std::push_heap(overflow.begin(), overflow.end(), NodeLater{});
 }
 
-EventNode *
+void
+LadderQueue::pull_overflow()
+{
+    std::uint64_t end = cur + num_buckets;
+    while (!overflow.empty() && (overflow.front()->when >> wShift) < end) {
+        std::pop_heap(overflow.begin(), overflow.end(), NodeLater{});
+        EventNode *n = overflow.back();
+        overflow.pop_back();
+        bucket_push(n);
+    }
+}
+
+void
+LadderQueue::drain_bucket(std::uint64_t b)
+{
+    EventNode *&head = buckets[b & (num_buckets - 1)];
+    EventNode *chain = head;
+    head = nullptr;
+    std::size_t took = 0;
+    while (chain) {
+        EventNode *next = chain->next;
+        chain->next = nullptr;
+        front.push_back({chain->when, chain->seq, chain});
+        ++took;
+        chain = next;
+    }
+    ringCount -= took;
+    std::make_heap(front.begin(), front.end(), EntryLater{});
+}
+
+bool
 LadderQueue::materialize()
 {
     while (front.empty()) {
         if (ringCount > 0) {
-            while (buckets[static_cast<std::size_t>(nextBucket)] ==
-                   nullptr)
-                ++nextBucket; // ringCount > 0 guarantees termination
-            EventNode *chain =
-                buckets[static_cast<std::size_t>(nextBucket)];
-            buckets[static_cast<std::size_t>(nextBucket)] = nullptr;
-            ++nextBucket;
-            frontEnd = sat_add(
-                bucketBase,
-                static_cast<Tick>(nextBucket) << wShift);
-            std::size_t took = 0;
-            while (chain) {
-                EventNode *next = chain->next;
-                chain->next = nullptr;
-                front.push_back(chain);
-                ++took;
-                chain = next;
-            }
-            ringCount -= took;
-            std::make_heap(front.begin(), front.end(), HeapLater{});
+            // ringCount > 0 guarantees a non-empty bucket within the
+            // window, and the overflow holds nothing below its end.
+            while (buckets[cur & (num_buckets - 1)] == nullptr)
+                ++cur;
+            drain_bucket(cur);
+            ++cur;
+            frontEnd = bucket_start(cur);
+            pull_overflow(); // the window slid past the empty buckets too
             continue;
         }
-        nextBucket = num_buckets;
         if (overflow.empty())
-            return nullptr;
+            return false;
         rebase();
     }
-    return front.front();
+    return true;
 }
 
 void
 LadderQueue::rebase()
 {
-    // Ring and front are empty; carve the overflow's near edge into
-    // fresh buckets. First re-derive the bucket width from observed
+    // Front and ring are empty; jump the window to the overflow's
+    // near edge. First re-derive the bucket width from observed
     // density: aim for ~8 events per bucket given the average
     // inter-event gap seen since the last rebase.
     Tick newBase = overflow.front()->when;
@@ -163,33 +155,19 @@ LadderQueue::rebase()
     drainedSinceRebase = 0;
     lastRebaseBase = newBase;
 
-    bucketBase = newBase;
-    frontEnd = newBase;
-    nextBucket = 0;
-    Tick span = static_cast<Tick>(num_buckets) << wShift;
-    Tick ringEnd = sat_add(bucketBase, span);
-    while (!overflow.empty() &&
-           (ringEnd == max_tick || overflow.front()->when < ringEnd)) {
-        EventNode *n = heap_pop(overflow);
-        // When ringEnd saturated, the far tail clamps into the last
-        // bucket — still ordered, since that bucket drains last and
-        // its contents sort in the front heap.
-        Tick b = std::min<Tick>((n->when - bucketBase) >> wShift,
-                                num_buckets - 1);
-        auto &head = buckets[static_cast<std::size_t>(b)];
-        n->next = head;
-        head = n;
-        ++ringCount;
-    }
+    cur = newBase >> wShift;
+    frontEnd = bucket_start(cur);
+    pull_overflow();
 }
 
 EventNode *
 LadderQueue::pop()
 {
-    EventNode *top = materialize();
-    if (!top)
+    if (!materialize())
         return nullptr;
-    EventNode *n = heap_pop(front);
+    std::pop_heap(front.begin(), front.end(), EntryLater{});
+    EventNode *n = front.back().node;
+    front.pop_back();
     --numEvents;
     ++drainedSinceRebase;
     return n;
@@ -198,8 +176,8 @@ LadderQueue::pop()
 void
 LadderQueue::clear()
 {
-    for (EventNode *n : front)
-        pool.release(n);
+    for (const Entry &e : front)
+        pool.release(e.node);
     front.clear();
     for (auto &head : buckets) {
         while (head) {
@@ -213,7 +191,6 @@ LadderQueue::clear()
         pool.release(n);
     overflow.clear();
     numEvents = 0;
-    nextBucket = num_buckets;
 }
 
 } // namespace ap::sim

@@ -125,7 +125,7 @@ TEST(Accumulator, MergeWithEmptySidesIsSafe)
 TEST(Histogram, EmptyScalarIsZero)
 {
     Histogram h;
-    EXPECT_TRUE(h.data().empty());
+    EXPECT_TRUE(h.buckets().empty());
     EXPECT_EQ(h.scalar().count(), 0u);
     EXPECT_DOUBLE_EQ(h.scalar().mean(), 0.0);
 }
@@ -161,10 +161,15 @@ TEST(Histogram, CountsLandInBuckets)
     h.sample(3);
     h.sample(3);
     h.sample(700);
-    EXPECT_EQ(h.data().at(1), 1u);
-    EXPECT_EQ(h.data().at(2), 2u);
-    EXPECT_EQ(h.data().at(10), 1u); // 512..1023
+    // Sized to the highest bucket sampled; interior buckets read 0.
+    EXPECT_EQ(h.buckets(),
+              (std::vector<std::uint64_t>{0, 1, 2, 0, 0, 0, 0, 0, 0, 0, 1}));
     EXPECT_EQ(h.scalar().count(), 4u);
+
+    // Every uint64_t has a bucket; the largest lands in bucket 64.
+    h.sample(~std::uint64_t{0});
+    ASSERT_EQ(h.buckets().size(), 65u);
+    EXPECT_EQ(h.buckets()[64], 1u);
 }
 
 // ------------------------------------------------------------------ table

@@ -7,15 +7,17 @@
  * The central property is the ordering contract: LadderQueue must
  * pop nodes in exactly ascending (when, seq) — bit-for-bit the order
  * of the binary heap it replaced — under random schedules, same-tick
- * bursts, far-future outliers and interleaved push/pop. Everything
- * that makes the ladder fast (buckets, rebasing, adaptive width) is
- * invisible as long as these tests pass.
+ * bursts, far-future outliers, interleaved push/pop, a hold model
+ * that slides the window, width changes at rebase and the tick
+ * horizon. Everything that makes the ladder fast (sliding buckets,
+ * rebasing, adaptive width) is invisible as long as these tests pass.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -134,6 +136,168 @@ TEST(LadderQueue, InterleavedPushPopKeepsGlobalOrder)
         }
     }
     EXPECT_GT(popped, 200);
+}
+
+TEST(LadderQueue, HoldModelAcrossTheWindowMatchesReferenceOrder)
+{
+    // The classic hold model: every pop pushes one event at now + d,
+    // with d spread over 0.5-4x the ring window, so the window slides
+    // under a steady stream of pushes that land in the ring, in the
+    // overflow rung and back again. Same-tick bursts and a far tail
+    // ride along. Each pop must match a reference (when, seq) set.
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        Random rng(seed);
+        LadderQueue q;
+        std::set<std::pair<Tick, std::uint64_t>> ref;
+        std::uint64_t seq = 0;
+        auto push = [&](Tick when) {
+            ref.emplace(when, seq);
+            q.push(when, seq++, 0, []() {});
+        };
+        for (int i = 0; i < 2000; ++i)
+            push(rng.below(1 << 16));
+        for (int i = 0; i < 20; ++i)
+            push((std::uint64_t{1} << 40) + rng.below(1 << 20));
+        Tick now = 0;
+        for (int step = 0; step < 60000; ++step) {
+            ASSERT_FALSE(ref.empty());
+            EventNode *n = q.pop();
+            ASSERT_EQ(std::make_pair(n->when, n->seq), *ref.begin())
+                << "seed " << seed << " step " << step;
+            ref.erase(ref.begin());
+            now = n->when;
+            q.release(n);
+            // The window in ticks at the current width.
+            Tick window = static_cast<Tick>(LadderQueue::num_buckets)
+                          << q.bucket_shift();
+            Tick d = window / 2 + rng.below(window * 7 / 2);
+            push(now + d);
+            if (step % 97 == 0)
+                for (int k = 0; k < 12; ++k)
+                    push(now + d); // same-tick burst, FIFO by seq
+            if (step % 1000 == 0)
+                push(now); // a zero-delay event at the clock
+        }
+        while (!q.empty()) {
+            EventNode *n = q.pop();
+            ASSERT_EQ(std::make_pair(n->when, n->seq), *ref.begin());
+            ref.erase(ref.begin());
+            q.release(n);
+        }
+        EXPECT_TRUE(ref.empty());
+    }
+}
+
+TEST(LadderQueue, RebaseChangesWidthWithOnlyOverflowPending)
+{
+    // A dense burst drained completely, then a sparse cluster far past
+    // the window: when the ring runs dry only the overflow holds
+    // events (the front heap is empty), and the rebase that follows
+    // re-derives the bucket width from the density seen so far.
+    LadderQueue q;
+    std::vector<std::pair<Tick, std::uint64_t>> ref;
+    std::uint64_t seq = 0;
+    for (Tick t = 0; t < 512; ++t) {
+        ref.emplace_back(t, seq);
+        q.push(t, seq++, 0, []() {});
+    }
+    Tick far = std::uint64_t{1} << 36;
+    for (Tick i = 0; i < 300; ++i) {
+        ref.emplace_back(far + i * 100000, seq);
+        q.push(far + i * 100000, seq++, 0, []() {});
+    }
+    unsigned before = q.bucket_shift();
+    std::vector<std::pair<Tick, std::uint64_t>> got;
+    for (int i = 0; i < 512; ++i) {
+        EventNode *n = q.pop();
+        got.emplace_back(n->when, n->seq);
+        q.release(n);
+    }
+    EXPECT_EQ(q.bucket_shift(), before); // no rebase yet
+    EXPECT_EQ(q.size(), 300u);           // all in the overflow rung
+    EXPECT_EQ(q.min_when(), far);        // this call rebases
+    EXPECT_NE(q.bucket_shift(), before);
+    // The cluster's own density then sets the next width.
+    for (Tick i = 0; i < 100; ++i) {
+        ref.emplace_back((far << 2) + i, seq);
+        q.push((far << 2) + i, seq++, 0, []() {});
+    }
+    for (auto &p : drain(q))
+        got.push_back(p);
+    std::stable_sort(ref.begin(), ref.end());
+    EXPECT_EQ(got, ref);
+}
+
+TEST(LadderQueue, EventsAtTheHorizonEdgeUnderSeveralWidths)
+{
+    // max_tick - 1 and max_tick - 2 sit in the last absolute bucket
+    // of any width, where cur << wShift would wrap. A dense cluster
+    // drained at distance D below the edge sets the density the
+    // edge's rebase derives its width from, so several D values meet
+    // the edge under several bucket widths (small D: no rebase).
+    const Tick top = max_tick;
+    std::set<unsigned> widths;
+    for (Tick dist : {Tick{1} << 10, Tick{98304}, Tick{1} << 17,
+                      Tick{1} << 20}) {
+        LadderQueue q;
+        std::vector<std::pair<Tick, std::uint64_t>> ref;
+        std::uint64_t seq = 0;
+        auto push = [&](Tick when) {
+            ref.emplace_back(when, seq);
+            q.push(when, seq++, 0, []() {});
+        };
+        Tick cluster = top - 2 - dist;
+        push(cluster - (std::uint64_t{1} << 32));
+        for (Tick i = 0; i < 100; ++i)
+            push(cluster + i);
+        push(top - 1);
+        push(top - 2);
+        push(top - 2);
+        std::vector<std::pair<Tick, std::uint64_t>> got;
+        bool pushedAtEdge = false;
+        while (!q.empty()) {
+            EventNode *n = q.pop();
+            got.emplace_back(n->when, n->seq);
+            q.release(n);
+            if (got.back().first == top - 2 && !pushedAtEdge) {
+                // The horizon bucket is draining and the window has
+                // wrapped past the last bucket: pushes at the clock
+                // and at the edge still order.
+                pushedAtEdge = true;
+                widths.insert(q.bucket_shift());
+                push(top - 2);
+                push(top - 1);
+            }
+        }
+        EXPECT_TRUE(pushedAtEdge);
+        std::stable_sort(ref.begin(), ref.end());
+        EXPECT_EQ(got, ref) << "distance " << dist;
+    }
+    EXPECT_GE(widths.size(), 3u);
+}
+
+TEST(LadderQueue, ClearThenReuseStartsFresh)
+{
+    LadderQueue q;
+    std::uint64_t seq = 0;
+    Random rng(7);
+    for (int i = 0; i < 3000; ++i)
+        q.push(rng.below(std::uint64_t{1} << 30), seq++, 0, []() {});
+    for (int i = 0; i < 1000; ++i)
+        q.release(q.pop());
+    q.clear();
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.min_when(), max_tick);
+
+    // Reuse at ticks far below where the old schedule stood.
+    std::vector<std::pair<Tick, std::uint64_t>> ref;
+    for (int i = 0; i < 3000; ++i) {
+        Tick when = rng.below(1 << 20);
+        ref.emplace_back(when, seq);
+        q.push(when, seq++, 0, []() {});
+    }
+    std::stable_sort(ref.begin(), ref.end());
+    EXPECT_EQ(drain(q), ref);
 }
 
 TEST(LadderQueue, PeekMatchesNextPopAndMinWhen)

@@ -139,6 +139,40 @@ TEST(StatsRegistry, DumpsAreWellFormed)
     EXPECT_NE(text.find("42"), std::string::npos);
 }
 
+TEST(StatsRegistry, HistogramJsonListsNonEmptyBucketsAscending)
+{
+    // The stats JSON text of a histogram is pinned: only buckets with
+    // samples appear, in ascending order, whether the counts came
+    // from sampling or from a merge.
+    Histogram h;
+    for (std::uint64_t v : {700, 3, 1, 2})
+        h.sample(v);
+    Histogram a, b, merged;
+    a.sample(700);
+    a.sample(2);
+    b.sample(1);
+    b.sample(3);
+    merged.merge(a);
+    merged.merge(b);
+
+    const std::string want =
+        "{\"count\": 4, \"sum\": 706, \"min\": 1, \"max\": 700, "
+        "\"mean\": 176.5, \"buckets\": {\"b1\": 1, \"b2\": 2, "
+        "\"b10\": 1}}";
+    for (const Histogram *hist : {&h, &merged}) {
+        StatsRegistry r;
+        r.add_histogram("lat", hist);
+        EXPECT_EQ(r.dump_json(false), "{\"lat\": " + want + "}");
+    }
+
+    StatsRegistry r;
+    Histogram empty;
+    r.add_histogram("lat", &empty);
+    EXPECT_EQ(r.dump_json(false),
+              "{\"lat\": {\"count\": 0, \"sum\": 0, \"min\": 0, "
+              "\"max\": 0, \"mean\": 0, \"buckets\": {}}}");
+}
+
 TEST(StatsRegistry, RuntimeRegistersAndUnregistersItsSubtree)
 {
     hw::MachineConfig cfg = hw::MachineConfig::ap1000_plus(2);

@@ -7,10 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
+#include "base/random.hh"
 #include "net/tnet.hh"
 #include "sim/eventq.hh"
+#include "sim/fault.hh"
 
 using namespace ap;
 using namespace ap::net;
@@ -83,6 +86,95 @@ TEST(Tnet, PerPairFifoEvenWhenSizesInvert)
     ASSERT_EQ(sizes.size(), 2u);
     EXPECT_EQ(sizes[0], 100000u);
     EXPECT_EQ(sizes[1], 4u);
+}
+
+TEST(Tnet, ArrivedTrafficLeavesNoStaleClamp)
+{
+    // Once a pair's earlier message has arrived it can no longer
+    // clamp: a later small message pays pure latency, whether it is
+    // injected well after that arrival or exactly at its tick.
+    sim::Simulator sim;
+    Tnet net(sim, Torus(4, 1), TnetParams{});
+    for (CellId c = 0; c < 4; ++c)
+        net.attach(c, [](Message) {});
+
+    Tick big = net.send(mk(0, 2, 100000));
+    Tick pure = net.latency(0, 2, mk(0, 2, 4).wire_bytes());
+    Tick atArrival = 0, later = 0;
+    sim.schedule(big, [&]() { atArrival = net.send(mk(0, 2, 4)); });
+    sim.schedule(big + us_to_ticks(50.0),
+                 [&]() { later = net.send(mk(0, 2, 4)); });
+    sim.run();
+    EXPECT_EQ(atArrival, big + pure);
+    EXPECT_EQ(later, big + us_to_ticks(50.0) + pure);
+}
+
+TEST(Tnet, InterleavedDestinationsKeepPerPairFifo)
+{
+    // One source alternating destinations: 0->1 (slow), 0->2, 0->1.
+    // The second 0->1 message is clamped behind the first, and the
+    // 0->2 message in between neither clamps nor is clamped.
+    sim::Simulator sim;
+    Tnet net(sim, Torus(4, 1), TnetParams{});
+    std::vector<std::pair<CellId, std::size_t>> got;
+    for (CellId c = 0; c < 4; ++c)
+        net.attach(c, [&, c](Message m) {
+            got.emplace_back(c, m.payload.size());
+        });
+
+    Tick slow = net.send(mk(0, 1, 100000));
+    Tick mid = net.send(mk(0, 2, 8));
+    Tick fast = net.send(mk(0, 1, 4));
+    EXPECT_EQ(mid, net.latency(0, 2, mk(0, 2, 8).wire_bytes()));
+    EXPECT_EQ(fast, slow); // clamped to its predecessor's arrival
+    sim.run();
+    std::vector<std::pair<CellId, std::size_t>> want = {
+        {2, 8}, {1, 100000}, {1, 4}};
+    EXPECT_EQ(got, want);
+}
+
+TEST(Tnet, JitterNeverReordersAPair)
+{
+    // Latency jitter is applied before the FIFO clamp: under a jitter
+    // plan, every pair still delivers in injection order, while the
+    // jitter itself is visible in the arrival times.
+    sim::Simulator sim;
+    Tnet net(sim, Torus(4, 2), TnetParams{});
+    sim::FaultInjector faults(sim::FaultPlan::jitter(17, 20.0));
+    net.set_fault_injector(&faults);
+    const int cells = 8;
+    // next[src][dst]: the sequence number the pair expects next.
+    std::vector<std::vector<std::uint8_t>> next(
+        cells, std::vector<std::uint8_t>(cells, 0));
+    int delivered = 0;
+    for (CellId c = 0; c < cells; ++c)
+        net.attach(c, [&, c](Message m) {
+            EXPECT_EQ(m.payload[0], next[m.src][c]++)
+                << m.src << " -> " << c;
+            ++delivered;
+        });
+
+    Random rng(5);
+    std::vector<std::vector<std::uint8_t>> sent(
+        cells, std::vector<std::uint8_t>(cells, 0));
+    int total = 0;
+    for (int round = 0; round < 40; ++round) {
+        Tick at = us_to_ticks(0.5 * round);
+        for (int k = 0; k < 8; ++k) {
+            auto src = static_cast<CellId>(rng.below(cells));
+            auto dst = static_cast<CellId>(rng.below(cells));
+            std::uint8_t seqNo = sent[src][dst]++;
+            sim.schedule(at, [&net, src, dst, seqNo]() {
+                Message m = mk(src, dst, 1 + seqNo % 3 * 500);
+                m.payload[0] = seqNo;
+                net.send(std::move(m));
+            });
+            ++total;
+        }
+    }
+    sim.run();
+    EXPECT_EQ(delivered, total);
+    EXPECT_GT(faults.stats().jitteredEvents, 0u);
 }
 
 TEST(Tnet, DifferentPairsMayOvertake)
