@@ -659,10 +659,10 @@ measure_barrier_us()
                          obs::SpanStage::barrier);
 }
 
+/** One calibrated parameter: its Figure 6 key and emulator fit. */
 struct CalibRow
 {
     const char *param;
-    double hand;
     double derived;
     const char *how;
 };
@@ -727,39 +727,42 @@ run_calibration(bool quick, obs::BenchReport &report)
 
     double barrierUs = measure_barrier_us();
 
+    // The calibrated parameter file: the derived values dropped into
+    // the AP1000+ model (negative fit artifacts clamped at zero cost).
     mlsim::Params hand = mlsim::Params::ap1000_plus();
+    mlsim::Params calib = hand;
+    calib.name = "AP1000+ (calibrated)";
     const std::vector<CalibRow> rows = {
-        {"put_enqueue_time", hand.put_enqueue_time, issueUs,
+        {"put_enqueue_time", issueUs,
          "PUT issue time, mean over sizes"},
-        {"put_dma_set_time", hand.put_dma_set_time,
-         dmaLine.intercept, "dma_send stage intercept vs bytes"},
-        {"network_delay_time", hand.network_delay_time,
-         hopLine.slope, "deliver slope vs torus hops"},
-        {"network_msg_time", hand.network_msg_time,
-         deliverLine.slope, "deliver slope vs bytes"},
-        {"recv_search_time", hand.recv_search_time,
-         recvLine.intercept, "RECV intercept vs bytes"},
-        {"recv_copy_time", hand.recv_copy_time, recvLine.slope,
-         "RECV slope vs bytes"},
-        {"barrier_time", hand.barrier_time, barrierUs,
-         "mean S-net barrier episode"},
-        {"recv_dma_set_time", hand.recv_dma_set_time,
-         ringLine.intercept,
+        {"put_dma_set_time", dmaLine.intercept,
+         "dma_send stage intercept vs bytes"},
+        {"network_delay_time", hopLine.slope,
+         "deliver slope vs torus hops"},
+        {"network_msg_time", deliverLine.slope,
+         "deliver slope vs bytes"},
+        {"recv_search_time", recvLine.intercept,
+         "RECV intercept vs bytes"},
+        {"recv_copy_time", recvLine.slope, "RECV slope vs bytes"},
+        {"barrier_time", barrierUs, "mean S-net barrier episode"},
+        {"recv_dma_set_time", ringLine.intercept,
          "ring_deposit stage intercept vs bytes"},
     };
 
     Table t({"Parameter", "Hand us", "Derived us", "Drift %",
              "Derived from"});
     for (const CalibRow &r : rows) {
+        double h = 0.0;
+        if (!hand.get(r.param, h) ||
+            !calib.set(r.param, std::max(r.derived, 0.0)))
+            panic("calibration row '%s' is not a cost key", r.param);
         double drift =
-            r.hand != 0.0
-                ? 100.0 * (r.derived - r.hand) / r.hand
-                : 0.0;
-        t.add_row({r.param, strprintf("%.3f", r.hand),
+            h != 0.0 ? 100.0 * (r.derived - h) / h : 0.0;
+        t.add_row({r.param, strprintf("%.3f", h),
                    strprintf("%.3f", r.derived),
                    strprintf("%+.0f", drift), r.how});
         std::string k = strprintf("calib.%s", r.param);
-        report.set(k + ".hand", r.hand, "us", MetricClass::sim,
+        report.set(k + ".hand", h, "us", MetricClass::sim,
                    Better::lower);
         report.set(k + ".derived", r.derived, "us", MetricClass::sim,
                    Better::lower);
@@ -769,20 +772,6 @@ run_calibration(bool quick, obs::BenchReport &report)
     t.print();
     report.set("calib.params", static_cast<std::uint64_t>(rows.size()),
                "count", MetricClass::count, Better::higher);
-
-    // Calibrated parameter file: the derived values dropped into the
-    // AP1000+ model (negative fit artifacts clamped at zero cost).
-    mlsim::Params calib = hand;
-    auto pos = [](double v) { return std::max(v, 0.0); };
-    calib.name = "AP1000+ (calibrated)";
-    calib.put_enqueue_time = pos(issueUs);
-    calib.put_dma_set_time = pos(dmaLine.intercept);
-    calib.network_delay_time = pos(hopLine.slope);
-    calib.network_msg_time = pos(deliverLine.slope);
-    calib.recv_search_time = pos(recvLine.intercept);
-    calib.recv_copy_time = pos(recvLine.slope);
-    calib.barrier_time = pos(barrierUs);
-    calib.recv_dma_set_time = pos(ringLine.intercept);
 
     // Figure 7 sensitivity: the closed-form overhead columns under
     // both parameter files.

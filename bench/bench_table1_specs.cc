@@ -37,7 +37,7 @@ main(int argc, char **argv)
                strprintf("SuperSPARC (%.0f MHz)", lo.clockMhz),
                "SuperSPARC (50 MHz)"});
     t.add_row({"Processor performance",
-               strprintf("%.0f MFLOPS", lo.mflopsPerCell),
+               strprintf("%.0f MFLOPS", lo.mflops_per_cell()),
                "50 MFLOPS"});
     t.add_row({"Memory per cell", "16, 64 megabytes (model default "
                                   "smaller)",
@@ -65,14 +65,14 @@ main(int argc, char **argv)
                 Mmu::small_tlb_entries, Mmu::large_tlb_entries);
     std::printf("  T-net links               %.0f MB/s "
                 "(%.2f us/byte), B-net %.0f MB/s\n",
-                1.0 / lo.tnet.perByteUs, lo.tnet.perByteUs,
-                1.0 / lo.bnet.perByteUs);
+                1.0 / lo.cost.network_msg_time,
+                lo.cost.network_msg_time, 1.0 / lo.cost.bnet_msg_time);
     std::printf("  PUT issue                 8 stores = %.2f us\n",
-                lo.timings.enqueueUs);
+                lo.cost.put_enqueue_time);
 
     report.set("clock_mhz", lo.clockMhz, "MHz", MetricClass::sim,
                Better::higher);
-    report.set("mflops_per_cell", lo.mflopsPerCell, "MFLOPS",
+    report.set("mflops_per_cell", lo.mflops_per_cell(), "MFLOPS",
                MetricClass::sim, Better::higher);
     report.set("cache_kbytes",
                static_cast<std::uint64_t>(lo.cacheBytes / 1024), "KB",
@@ -88,11 +88,11 @@ main(int argc, char **argv)
     report.set("queue_capacity_words",
                static_cast<std::uint64_t>(lo.queueCapacityWords),
                "words", MetricClass::count, Better::higher);
-    report.set("tnet_mbytes_per_s", 1.0 / lo.tnet.perByteUs, "MB/s",
+    report.set("tnet_mbytes_per_s", 1.0 / lo.cost.network_msg_time,
+               "MB/s", MetricClass::sim, Better::higher);
+    report.set("bnet_mbytes_per_s", 1.0 / lo.cost.bnet_msg_time, "MB/s",
                MetricClass::sim, Better::higher);
-    report.set("bnet_mbytes_per_s", 1.0 / lo.bnet.perByteUs, "MB/s",
-               MetricClass::sim, Better::higher);
-    report.set("put_issue_us", lo.timings.enqueueUs, "us",
+    report.set("put_issue_us", lo.cost.put_enqueue_time, "us",
                MetricClass::sim, Better::lower);
     return report.write() ? 0 : 1;
 }

@@ -112,13 +112,13 @@ Context::combine(double a, double b, ReduceOp op) const
 double
 Context::commreg_exchange(CellId partner, int reg_index, double value)
 {
-    const auto &t = machine.config().timings;
+    const mlsim::Params &t = machine.config().cost;
 
     // Store my value to the partner's register pair: the registers
     // sit in shared space, so this is one hardware remote store.
     std::vector<std::uint8_t> data(8);
     std::memcpy(data.data(), &value, 8);
-    proc.delay(us_to_ticks(t.remoteAccessIssueUs));
+    proc.delay(us_to_ticks(t.remote_access_issue_time));
     ++acksOutstanding;
     cell().msc().issue_remote_store(
         partner,
@@ -126,7 +126,7 @@ Context::commreg_exchange(CellId partner, int reg_index, double value)
         std::move(data));
 
     // Load my own pair; the p-bit retry stalls until data arrives.
-    proc.delay(us_to_ticks(2 * t.commRegAccessUs));
+    proc.delay(us_to_ticks(2 * t.commreg_access_time));
     std::uint32_t lo = cell().mc().regs().load(reg_index, proc);
     std::uint32_t hi = cell().mc().regs().load(reg_index + 1, proc);
     return std::bit_cast<double>(
@@ -151,7 +151,7 @@ Context::barrier()
     if (lastCollectiveDegraded)
         ++ctxStats.degradedCollectives;
 
-    proc.delay(us_to_ticks(machine.config().timings.barrierIssueUs));
+    proc.delay(us_to_ticks(machine.config().cost.barrier_prolog_time));
 
     // The release state is heap-owned by the S-net callback: if the
     // watchdog throws us out of the wait, a later release must not
@@ -220,19 +220,19 @@ Context::allreduce(double value, ReduceOp op)
         r *= 2;
 
     double v = value;
-    const auto &t = machine.config().timings;
+    const mlsim::Params &t = machine.config().cost;
 
     if (me >= r) {
         // Fold my value into my low partner, then pick up the result.
         std::vector<std::uint8_t> data(8);
         std::memcpy(data.data(), &v, 8);
-        proc.delay(us_to_ticks(t.remoteAccessIssueUs));
+        proc.delay(us_to_ticks(t.remote_access_issue_time));
         ++acksOutstanding;
         cell().msc().issue_remote_store(
             me - r, hw::Mc::commreg_base + (bank + 0) * 4,
             std::move(data));
 
-        proc.delay(us_to_ticks(2 * t.commRegAccessUs));
+        proc.delay(us_to_ticks(2 * t.commreg_access_time));
         std::uint32_t lo = cell().mc().regs().load(bank + 2, proc);
         std::uint32_t hi = cell().mc().regs().load(bank + 3, proc);
         return std::bit_cast<double>(
@@ -240,7 +240,7 @@ Context::allreduce(double value, ReduceOp op)
     }
 
     if (me + r < p) {
-        proc.delay(us_to_ticks(2 * t.commRegAccessUs));
+        proc.delay(us_to_ticks(2 * t.commreg_access_time));
         std::uint32_t lo = cell().mc().regs().load(bank + 0, proc);
         std::uint32_t hi = cell().mc().regs().load(bank + 1, proc);
         double o = std::bit_cast<double>(
@@ -259,7 +259,7 @@ Context::allreduce(double value, ReduceOp op)
     if (me + r < p) {
         std::vector<std::uint8_t> data(8);
         std::memcpy(data.data(), &v, 8);
-        proc.delay(us_to_ticks(t.remoteAccessIssueUs));
+        proc.delay(us_to_ticks(t.remote_access_issue_time));
         ++acksOutstanding;
         cell().msc().issue_remote_store(
             me + r, hw::Mc::commreg_base + (bank + 2) * 4,
@@ -456,7 +456,7 @@ Context::allreduce_vector(Addr vec, std::uint32_t count, ReduceOp op)
             acc[i] = combine(acc[i], other[i], op);
         // The elementwise combine is processor work.
         proc.delay(us_to_ticks(static_cast<double>(count) /
-                               machine.config().mflopsPerCell));
+                               machine.config().mflops_per_cell()));
 
         // Rotate buffers: the arriving record becomes the next
         // contribution and the spent one goes home to the pool.

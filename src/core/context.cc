@@ -320,7 +320,7 @@ Context::internal_send(CellId dst, std::int32_t tag,
 hw::SendRecord
 Context::internal_recv(CellId src, std::int32_t tag)
 {
-    proc.delay(us_to_ticks(machine.config().timings.receiveSearchUs));
+    proc.delay(us_to_ticks(machine.config().cost.recv_search_time));
     return ring_take_guarded(src, tag, /*in_place=*/true,
                              "recv_reduce");
 }
@@ -356,7 +356,7 @@ Context::issue(hw::Command cmd)
     check_alive();
     // Writing the 8 parameter words to the MSC+ special address.
     Tick t0 = machine.sim().now();
-    proc.delay(us_to_ticks(machine.config().timings.enqueueUs));
+    proc.delay(us_to_ticks(machine.config().cost.put_enqueue_time));
     if ((cmd.traceId = machine.spans().new_trace()) != 0) {
         obs::SpanOp op = obs::SpanOp::none;
         switch (cmd.kind) {
@@ -646,7 +646,7 @@ Context::wait_flag(Addr flag_addr, std::uint32_t target)
     trace(ev);
 
     check_alive();
-    proc.delay(us_to_ticks(machine.config().timings.flagCheckUs));
+    proc.delay(us_to_ticks(machine.config().cost.flag_check_prolog_time));
     Tick begin = machine.sim().now();
     Tick deadline = watchdog_deadline();
     bool waited = false;
@@ -683,7 +683,7 @@ Context::wait_all_acks()
     trace(ev);
 
     check_alive();
-    proc.delay(us_to_ticks(machine.config().timings.flagCheckUs));
+    proc.delay(us_to_ticks(machine.config().cost.flag_check_prolog_time));
     Tick begin = machine.sim().now();
     Tick deadline = watchdog_deadline();
     bool waited = false;
@@ -713,7 +713,7 @@ bool
 Context::wait_flag_for(Addr flag_addr, std::uint32_t target,
                        Tick deadline)
 {
-    proc.delay(us_to_ticks(machine.config().timings.flagCheckUs));
+    proc.delay(us_to_ticks(machine.config().cost.flag_check_prolog_time));
     while (flag(flag_addr) < target) {
         if (!proc.wait_until(cell().mc().flag_cond(), deadline))
             return flag(flag_addr) >= target;
@@ -724,7 +724,7 @@ Context::wait_flag_for(Addr flag_addr, std::uint32_t target,
 bool
 Context::wait_all_acks_for(Tick deadline)
 {
-    proc.delay(us_to_ticks(machine.config().timings.flagCheckUs));
+    proc.delay(us_to_ticks(machine.config().cost.flag_check_prolog_time));
     std::uint64_t target = ackBase + acksOutstanding;
     while (cell().msc().ack_count() < target) {
         if (!proc.wait_until(cell().msc().ack_cond(), deadline))
@@ -747,7 +747,7 @@ Context::remote_load_u32(CellId dst, Addr raddr)
 {
     check_alive();
     proc.delay(
-        us_to_ticks(machine.config().timings.remoteAccessIssueUs));
+        us_to_ticks(machine.config().cost.remote_access_issue_time));
     std::uint64_t token = cell().msc().issue_remote_load(dst, raddr, 4);
     std::vector<std::uint8_t> data;
     wait_load_reply(token, raddr, data);
@@ -761,7 +761,7 @@ Context::remote_load_u64(CellId dst, Addr raddr)
 {
     check_alive();
     proc.delay(
-        us_to_ticks(machine.config().timings.remoteAccessIssueUs));
+        us_to_ticks(machine.config().cost.remote_access_issue_time));
     std::uint64_t token = cell().msc().issue_remote_load(dst, raddr, 8);
     std::vector<std::uint8_t> data;
     wait_load_reply(token, raddr, data);
@@ -796,7 +796,7 @@ Context::remote_store_u32(CellId dst, Addr raddr, std::uint32_t v)
 {
     check_alive();
     proc.delay(
-        us_to_ticks(machine.config().timings.remoteAccessIssueUs));
+        us_to_ticks(machine.config().cost.remote_access_issue_time));
     std::vector<std::uint8_t> data(4);
     std::memcpy(data.data(), &v, 4);
     ++acksOutstanding;
@@ -808,7 +808,7 @@ Context::remote_store_u64(CellId dst, Addr raddr, std::uint64_t v)
 {
     check_alive();
     proc.delay(
-        us_to_ticks(machine.config().timings.remoteAccessIssueUs));
+        us_to_ticks(machine.config().cost.remote_access_issue_time));
     std::vector<std::uint8_t> data(8);
     std::memcpy(data.data(), &v, 8);
     ++acksOutstanding;
@@ -865,7 +865,7 @@ Context::broadcast(CellId root, Addr laddr, std::uint32_t size,
 
     // The B-net is driven like a PUT: parameters plus payload gather.
     Tick t0 = machine.sim().now();
-    proc.delay(us_to_ticks(machine.config().timings.enqueueUs));
+    proc.delay(us_to_ticks(machine.config().cost.put_enqueue_time));
     std::vector<std::uint8_t> payload(size);
     peek(laddr, payload);
 
@@ -914,14 +914,14 @@ Context::recv(CellId src, std::int32_t tag, Addr laddr,
 
     // RECEIVE searches the ring buffer, then copies to the user area
     // — the intrinsic SEND/RECEIVE overhead (Section 1.3).
-    proc.delay(us_to_ticks(machine.config().timings.receiveSearchUs));
+    proc.delay(us_to_ticks(machine.config().cost.recv_search_time));
     hw::SendRecord rec =
         ring_take_guarded(src, tag, /*in_place=*/false, "recv");
     if (rec.payload.size() > max_size)
         fatal("cell %d: received %zu bytes into a %u-byte area",
               cellId, rec.payload.size(), max_size);
     proc.delay(us_to_ticks(
-        machine.config().timings.receiveCopyPerByteUs *
+        machine.config().cost.recv_copy_time *
         static_cast<double>(rec.payload.size())));
     poke(laddr, rec.payload);
     std::uint32_t got =
@@ -957,7 +957,7 @@ void
 Context::compute_flops(double flops)
 {
     // MFLOPS = flops per microsecond.
-    compute_us(flops / machine.config().mflopsPerCell);
+    compute_us(flops / machine.config().mflops_per_cell());
 }
 
 } // namespace ap::core

@@ -1,7 +1,9 @@
 /**
  * @file
- * Machine configuration: Table 1 specifications plus the hardware
- * timing knobs of the functional AP1000+ model.
+ * Machine configuration: Table 1 specifications plus the model
+ * knobs of the functional AP1000+ emulator. Every cost it charges
+ * comes from one table, the Figure 6 parameter file (mlsim::Params)
+ * that MLSim replays traces under.
  */
 
 #ifndef AP_HW_CONFIG_HH
@@ -12,11 +14,9 @@
 #include <string>
 
 #include "base/types.hh"
-#include "net/bnet.hh"
+#include "mlsim/params.hh"
 #include "obs/span.hh"
 #include "net/reliable.hh"
-#include "net/snet.hh"
-#include "net/tnet.hh"
 #include "sim/fault.hh"
 
 namespace ap::hw
@@ -68,43 +68,6 @@ struct RetryPolicy
     }
 };
 
-/**
- * MSC+/MC timing parameters in microseconds. Defaults model the
- * AP1000+ (hardware message handling): a PUT costs the processor 8
- * store instructions (8 cycles at 50 MHz = 0.16 us, Section 4.1), the
- * DMA setup is 0.5 us (Figure 6 put_dma_set_time) and data streams at
- * the 25 MB/s link rate.
- */
-struct HwTimings
-{
-    /** processor cost to enqueue one 8-word command. */
-    double enqueueUs = 0.16;
-    /** send DMA setup per command. */
-    double dmaSetUs = 0.50;
-    /** DMA streaming per payload byte (25 MB/s). */
-    double dmaPerByteUs = 0.04;
-    /** receive DMA setup per message. */
-    double recvDmaSetUs = 0.50;
-    /** MC fetch-and-increment of one flag. */
-    double flagUpdateUs = 0.04;
-    /** OS interrupt servicing a queue refill or fault. */
-    double interruptUs = 20.0;
-    /** MSC+ bookkeeping to deposit a SEND in the ring buffer. */
-    double ringDepositUs = 0.50;
-    /** RECEIVE library search of the ring buffer (processor). */
-    double receiveSearchUs = 1.00;
-    /** RECEIVE user-area copy per byte (processor). */
-    double receiveCopyPerByteUs = 0.02;
-    /** processor cost of a local communication-register access. */
-    double commRegAccessUs = 0.08;
-    /** processor cost of issuing a remote load/store (hardware). */
-    double remoteAccessIssueUs = 0.04;
-    /** processor cost of one flag check (read + compare). */
-    double flagCheckUs = 0.10;
-    /** processor cost of entering the S-net barrier. */
-    double barrierIssueUs = 0.20;
-};
-
 /** Full machine configuration (Table 1 plus model knobs). */
 struct MachineConfig
 {
@@ -115,8 +78,6 @@ struct MachineConfig
     std::size_t memBytesPerCell = 4 * 1024 * 1024;
     /** Processor clock (SuperSPARC, 50 MHz). */
     double clockMhz = 50.0;
-    /** Peak MFLOPS per cell (Table 1). */
-    double mflopsPerCell = 50.0;
     /** Write-through cache per cell (Table 1: 36 KB). */
     std::size_t cacheBytes = 36 * 1024;
     /** MSC+ command queue capacity in words (Section 4.1: 64). */
@@ -124,10 +85,15 @@ struct MachineConfig
     /** Initial ring buffer capacity per cell. */
     std::size_t ringBufferBytes = 256 * 1024;
 
-    net::TnetParams tnet;
-    net::BnetParams bnet;
-    net::SnetParams snet;
-    HwTimings timings;
+    /**
+     * The cost table, in microseconds: every charge of the MSC+, MC,
+     * networks and runtime library reads its Figure 6 key here (see
+     * DESIGN.md, "One cost table").
+     */
+    mlsim::Params cost = mlsim::Params::ap1000_plus();
+    /** Serialize messages over each directed T-net link
+     *  (extension; off = the paper's model). */
+    bool linkContention = false;
 
     /**
      * Host worker threads driving the event kernel (sim/eventq.hh):
@@ -144,13 +110,6 @@ struct MachineConfig
      * machine runs do not repeat run-to-run (sim/eventq.hh).
      */
     bool deterministic = false;
-    /**
-     * Conservative lookahead in microseconds. 0 (the default)
-     * derives the minimum cross-cell latency from the network
-     * parameters: min(T-net prolog + one hop + epilog, B-net
-     * prolog, S-net release).
-     */
-    double lookaheadUs = 0.0;
 
     /** Fault-injection plan; the default plan injects nothing and
      *  leaves every fast path untouched. */
@@ -174,11 +133,19 @@ struct MachineConfig
      *  rings as Chrome trace JSON to this path. */
     std::string postmortemOut = "";
 
+    /** Peak MFLOPS per cell (Table 1: 50): the cost table's flop
+     *  time at its computation factor. */
+    double
+    mflops_per_cell() const
+    {
+        return 1.0 / (cost.flop_time * cost.computation_factor);
+    }
+
     /** Peak system GFLOPS (Table 1: 0.2 - 51.2). */
     double
     system_gflops() const
     {
-        return cells * mflopsPerCell / 1000.0;
+        return cells * mflops_per_cell() / 1000.0;
     }
 
     /** @return the canonical AP1000+ configuration of Table 1. */

@@ -5,6 +5,7 @@
 #include <cstdlib>
 
 #include "base/logging.hh"
+#include "mlsim/costmodel.hh"
 #include "obs/json.hh"
 
 namespace ap::hw
@@ -16,20 +17,16 @@ namespace
 /**
  * The conservative lookahead of this configuration: the minimum
  * model-time distance of any cross-cell effect. A T-net message pays
- * at least prolog + one hop + epilog before touching another cell, a
- * B-net broadcast pays the bus prolog, an S-net release pays the
- * combine latency. cfg.lookaheadUs overrides the derivation.
+ * at least a zero-byte one-hop transit before touching another cell,
+ * a B-net broadcast pays the bus prolog, an S-net release pays the
+ * combine latency.
  */
 Tick
 derive_lookahead(const MachineConfig &cfg)
 {
-    double us = cfg.lookaheadUs;
-    if (us <= 0.0) {
-        us = cfg.tnet.prologUs + cfg.tnet.delayPerHopUs +
-             cfg.tnet.epilogUs;
-        us = std::min(us, cfg.bnet.prologUs);
-        us = std::min(us, cfg.snet.releaseUs);
-    }
+    double us = mlsim::CostModel(cfg.cost).network(1, 0);
+    us = std::min(us, cfg.cost.bnet_prolog_time);
+    us = std::min(us, cfg.cost.barrier_time);
     Tick l = us_to_ticks(us);
     return l < 1 ? 1 : l;
 }
@@ -59,9 +56,10 @@ kernel_config(const MachineConfig &cfg)
 
 Machine::Machine(MachineConfig config)
     : cfg(config), faultInj(cfg.faults), simulator(kernel_config(cfg)),
-      tnetNet(simulator, net::Torus::squarest(cfg.cells), cfg.tnet),
-      bnetNet(simulator, cfg.cells, cfg.bnet),
-      snetNet(simulator, cfg.cells, cfg.snet),
+      tnetNet(simulator, net::Torus::squarest(cfg.cells), cfg.cost,
+              cfg.linkContention),
+      bnetNet(simulator, cfg.cells, cfg.cost),
+      snetNet(simulator, cfg.cells, cfg.cost),
       dsmMap(cfg.cells, cfg.memBytesPerCell / 2),
       cellFailed(static_cast<std::size_t>(cfg.cells)),
       waitInfos(static_cast<std::size_t>(cfg.cells)),

@@ -159,7 +159,7 @@ Msc::maybe_refill(CommandQueue &q)
     if (!q.needs_refill() || q.refill_scheduled())
         return;
     q.set_refill_scheduled(true);
-    sim.schedule_after(us_to_ticks(cfg.timings.interruptUs),
+    sim.schedule_after(us_to_ticks(cfg.cost.os_interrupt_time),
                        [this, &q]() {
                            int moved = q.refill();
                            q.set_refill_scheduled(false);
@@ -198,7 +198,7 @@ Msc::kick()
     // until then per Section 3.1) and the network injection lands at
     // the exact tick the two-event pipeline used to produce — at half
     // the event cost per send.
-    Tick stream = us_to_ticks(cfg.timings.dmaPerByteUs *
+    Tick stream = us_to_ticks(cfg.cost.network_msg_time *
                               static_cast<double>(cmd.bytes()));
     auto fire = [this, cmd = std::move(cmd), popT, stream]() mutable {
         process(std::move(cmd), popT, stream);
@@ -206,7 +206,7 @@ Msc::kick()
     static_assert(sim::EventFn::fits<decltype(fire)>(),
                   "send-pipeline closure must stay in the EventFn "
                   "inline buffer");
-    sim.schedule_after(us_to_ticks(cfg.timings.dmaSetUs) + stream,
+    sim.schedule_after(us_to_ticks(cfg.cost.put_dma_set_time) + stream,
                        std::move(fire));
 }
 
@@ -368,7 +368,7 @@ Msc::finish_send(Command cmd, std::vector<std::uint8_t> payload,
         cmd.kind == CommandKind::get_reply) {
         if (cmd.sendFlag != no_flag) {
             sim.schedule_after(
-                us_to_ticks(cfg.timings.flagUpdateUs),
+                us_to_ticks(cfg.cost.send_complete_flag_time),
                 [this, flag = cmd.sendFlag, tid = cmd.traceId,
                  fbegin = sim.now()]() {
                     if (spans && tid != 0)
@@ -396,7 +396,7 @@ Msc::local_fault(Addr addr)
     if (faultHook)
         faultHook(cell.id(), addr, false);
     // The OS services the fault; the command is dropped.
-    sim.schedule_after(us_to_ticks(cfg.timings.interruptUs),
+    sim.schedule_after(us_to_ticks(cfg.cost.os_interrupt_time),
                        [this]() {
                            senderBusy = false;
                            kick();
@@ -420,7 +420,7 @@ Msc::remote_fault(Addr addr)
         faultHook(cell.id(), addr, true);
     recvBusyUntil =
         std::max(recvBusyUntil, sim.now()) +
-        us_to_ticks(cfg.timings.interruptUs);
+        us_to_ticks(cfg.cost.os_interrupt_time);
 }
 
 void
@@ -430,8 +430,8 @@ Msc::deliver(net::Message msg)
     // the network into memory.
     Tick start = std::max(sim.now(), recvBusyUntil);
     Tick dma = us_to_ticks(
-        cfg.timings.recvDmaSetUs +
-        cfg.timings.dmaPerByteUs *
+        cfg.cost.recv_dma_set_time +
+        cfg.cost.network_msg_time *
             static_cast<double>(msg.payload.size()));
     Tick finish = start + dma;
     recvBusyUntil = finish;

@@ -89,7 +89,7 @@ class Msc
   public:
     /**
      * @param sim owning simulator
-     * @param cfg machine configuration (timings, queue sizes)
+     * @param cfg machine configuration (cost table, queue sizes)
      * @param cell the cell this controller belongs to
      * @param tnet the outgoing link (raw T-net or the reliable
      *             layer stacked on it)

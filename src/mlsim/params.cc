@@ -1,7 +1,7 @@
 #include "mlsim/params.hh"
 
-#include <utility>
-#include <vector>
+#include <charconv>
+#include <string_view>
 
 #include "base/logging.hh"
 #include "base/strings.hh"
@@ -9,18 +9,8 @@
 namespace ap::mlsim
 {
 
-namespace
-{
-
-/** Name <-> field table drives set/get/to_file/from_file. */
-struct Field
-{
-    const char *key;
-    double Params::*member;
-};
-
-const std::vector<Field> &
-fields()
+const std::vector<Params::Field> &
+Params::fields()
 {
     static const std::vector<Field> f = {
         {"computation_factor", &Params::computation_factor},
@@ -57,11 +47,13 @@ fields()
         {"rts_putget_time", &Params::rts_putget_time},
         {"rts_stride_time", &Params::rts_stride_time},
         {"hardware_handling", &Params::hardware_handling},
+        {"os_interrupt_time", &Params::os_interrupt_time},
+        {"commreg_access_time", &Params::commreg_access_time},
+        {"remote_access_issue_time",
+         &Params::remote_access_issue_time},
     };
     return f;
 }
-
-} // namespace
 
 bool
 Params::set(const std::string &key, double value)
@@ -184,7 +176,11 @@ Params::to_file() const
     out += "#\n# " + name + " model\n#\n";
     out += "# computation\n";
     for (const Field &f : fields()) {
-        out += strprintf("%-26s %.4f\n", f.key, this->*(f.member));
+        char num[32];
+        auto res = std::to_chars(num, num + sizeof num,
+                                 this->*(f.member));
+        out += strprintf("%-26s %.*s\n", f.key,
+                         static_cast<int>(res.ptr - num), num);
     }
     return out;
 }
@@ -193,12 +189,23 @@ Params
 Params::from_file(const std::string &text)
 {
     Params p;
+    bool named = false;
     int lineno = 0;
     for (const std::string &raw : split(text, '\n')) {
         ++lineno;
         std::string_view line = trim(raw);
-        if (line.empty() || line[0] == '#')
+        if (line.empty())
             continue;
+        if (line[0] == '#') {
+            // The "# <name> model" header names the model.
+            std::string_view c = trim(line.substr(1));
+            constexpr std::string_view tail = " model";
+            if (!named && c.size() > tail.size() && c.ends_with(tail)) {
+                p.name = std::string(c.substr(0, c.size() - tail.size()));
+                named = true;
+            }
+            continue;
+        }
         auto toks = split_ws(line);
         if (toks.size() != 2)
             fatal("parameter file line %d: expected 'name value', "

@@ -11,12 +11,17 @@
  * remaining fields are the quantities Figure 7 names but whose values
  * the paper only describes as "estimated from hardware
  * specifications" — our estimates are documented in EXPERIMENTS.md.
+ *
+ * This is the machine's one cost table: the functional emulator
+ * (hw::MachineConfig::cost) charges its hardware and network costs
+ * from the same fields MLSim replays traces under.
  */
 
 #ifndef AP_MLSIM_PARAMS_HH
 #define AP_MLSIM_PARAMS_HH
 
 #include <string>
+#include <vector>
 
 namespace ap::mlsim
 {
@@ -88,6 +93,25 @@ struct Params
     /** 1 = MSC+ hardware handling (AP1000+); 0 = software. */
     double hardware_handling = 0.0;
 
+    // ---- emulator-only estimates (MLSim does not read these) ----
+    /** OS interrupt servicing an MSC+ queue refill or page fault. */
+    double os_interrupt_time = 20.0;
+    /** processor access to a local communication register. */
+    double commreg_access_time = 0.08;
+    /** processor issue of a remote load/store (hardware). */
+    double remote_access_issue_time = 0.04;
+
+    /** One numeric field of the parameter file. */
+    struct Field
+    {
+        const char *key;
+        double Params::*member;
+    };
+
+    /** Every numeric field in file order: drives set, get, to_file
+     *  and from_file. */
+    static const std::vector<Field> &fields();
+
     /** @return true when the MSC+ handles messages in hardware. */
     bool hw() const { return hardware_handling != 0.0; }
 
@@ -108,7 +132,8 @@ struct Params
 
     /**
      * Serialize in the Figure 6 file format (named values, '#'
-     * comments).
+     * comments). Values print in their shortest exact form, so
+     * from_file() reads back the same doubles and name.
      */
     std::string to_file() const;
 

@@ -8,8 +8,8 @@
 namespace ap::net
 {
 
-Bnet::Bnet(sim::Simulator &sim, int cells, BnetParams params)
-    : sim(sim), prm(params), handlers(static_cast<std::size_t>(cells))
+Bnet::Bnet(sim::Simulator &sim, int cells, const mlsim::Params &cost)
+    : sim(sim), cost(cost), handlers(static_cast<std::size_t>(cells))
 {
 }
 
@@ -29,8 +29,8 @@ Bnet::broadcast(Message msg)
     std::lock_guard<std::mutex> lock(busMutex);
     Tick start = std::max(sim.now(), busyUntil);
     Tick occupy = us_to_ticks(
-        prm.prologUs +
-        prm.perByteUs * static_cast<double>(msg.wire_bytes()));
+        cost.bnet_prolog_time +
+        cost.bnet_msg_time * static_cast<double>(msg.wire_bytes()));
     Tick arrive = start + occupy;
     busyUntil = arrive;
     ++netStats.broadcasts;

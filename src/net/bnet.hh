@@ -4,7 +4,8 @@
  *
  * Used for program/data distribution and host communication. Modelled
  * as a single serialized channel: one broadcast occupies the bus for
- * size / bandwidth and is then delivered to every attached cell.
+ * bnet_prolog_time + bnet_msg_time * size (the machine's cost
+ * table) and is then delivered to every attached cell.
  */
 
 #ifndef AP_NET_BNET_HH
@@ -16,6 +17,7 @@
 
 #include "base/stats.hh"
 #include "base/types.hh"
+#include "mlsim/params.hh"
 #include "net/message.hh"
 #include "obs/span.hh"
 #include "obs/tracer.hh"
@@ -23,15 +25,6 @@
 
 namespace ap::net
 {
-
-/** B-net timing parameters (microseconds). */
-struct BnetParams
-{
-    /** fixed bus acquisition cost. */
-    double prologUs = 0.5;
-    /** per-byte time; 50 MB/s -> 0.02 us/byte. */
-    double perByteUs = 0.02;
-};
 
 /** Aggregate B-net statistics. */
 struct BnetStats
@@ -52,9 +45,9 @@ class Bnet
     /**
      * @param sim owning simulator
      * @param cells number of attached cells
-     * @param params timing parameters
+     * @param cost the machine's cost table (bnet_* fields)
      */
-    Bnet(sim::Simulator &sim, int cells, BnetParams params);
+    Bnet(sim::Simulator &sim, int cells, const mlsim::Params &cost);
 
     /** Register the receive handler for cell @p id. */
     void attach(CellId id, Deliver deliver);
@@ -78,7 +71,7 @@ class Bnet
 
   private:
     sim::Simulator &sim;
-    BnetParams prm;
+    mlsim::Params cost;
     std::vector<Deliver> handlers;
     /** Serializes broadcast(): the bus clamp and stats are shared
      *  by every broadcasting cell's shard. */

@@ -8,8 +8,8 @@
 namespace ap::net
 {
 
-Snet::Snet(sim::Simulator &sim, int cells, SnetParams params)
-    : sim(sim), numCells(cells), prm(params),
+Snet::Snet(sim::Simulator &sim, int cells, const mlsim::Params &cost)
+    : sim(sim), numCells(cells), cost(cost),
       failedCells(static_cast<std::size_t>(cells), false)
 {
 }
@@ -72,7 +72,7 @@ Snet::maybe_release(Context &ctx)
             !failedCells[static_cast<std::size_t>(m)])
             return;
 
-    Tick release = sim.now() + us_to_ticks(prm.releaseUs);
+    Tick release = sim.now() + us_to_ticks(cost.barrier_time);
     if (spans)
         if (std::uint64_t tid = spans->new_trace())
             spans->record(-1, tid, obs::SpanStage::barrier,

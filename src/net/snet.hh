@@ -6,7 +6,8 @@
  * software (communication registers) for group barriers; this model
  * supports arbitrary member sets so both modes and the group
  * extension can be exercised. A barrier context collects arrivals and
- * releases every member a fixed latency after the last arrival.
+ * releases every member barrier_time (the machine's cost table)
+ * after the last arrival.
  */
 
 #ifndef AP_NET_SNET_HH
@@ -20,18 +21,12 @@
 #include <vector>
 
 #include "base/types.hh"
+#include "mlsim/params.hh"
 #include "obs/span.hh"
 #include "sim/eventq.hh"
 
 namespace ap::net
 {
-
-/** S-net timing parameters (microseconds). */
-struct SnetParams
-{
-    /** Combine-and-release latency after the last arrival. */
-    double releaseUs = 1.0;
-};
 
 /** Hardware barrier engine. */
 class Snet
@@ -43,9 +38,9 @@ class Snet
     /**
      * @param sim owning simulator
      * @param cells machine size
-     * @param params timing parameters
+     * @param cost the machine's cost table (barrier_time)
      */
-    Snet(sim::Simulator &sim, int cells, SnetParams params);
+    Snet(sim::Simulator &sim, int cells, const mlsim::Params &cost);
 
     /**
      * Create a barrier context over @p members (empty = all cells).
@@ -102,7 +97,7 @@ class Snet
 
     sim::Simulator &sim;
     int numCells;
-    SnetParams prm;
+    mlsim::Params cost;
     /** Serializes create_context()/arrive()/fail_cell(): barrier
      *  contexts are shared by every member cell's shard and may be
      *  created mid-run. */

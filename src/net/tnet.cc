@@ -9,8 +9,9 @@
 namespace ap::net
 {
 
-Tnet::Tnet(sim::Simulator &sim, Torus topo, TnetParams params)
-    : sim(sim), topo(topo), prm(params),
+Tnet::Tnet(sim::Simulator &sim, Torus topo, const mlsim::Params &cost,
+           bool linkContention)
+    : sim(sim), topo(topo), cost(cost), linkContention(linkContention),
       handlers(static_cast<std::size_t>(topo.size())),
       inFlight(static_cast<std::size_t>(topo.size()))
 {
@@ -27,11 +28,7 @@ Tnet::attach(CellId id, Deliver deliver)
 Tick
 Tnet::latency(CellId src, CellId dst, std::uint64_t bytes) const
 {
-    int dist = topo.distance(src, dst);
-    double us = prm.prologUs + prm.delayPerHopUs * dist +
-                prm.perByteUs * static_cast<double>(bytes) +
-                prm.epilogUs;
-    return us_to_ticks(us);
+    return us_to_ticks(cost.network(topo.distance(src, dst), bytes));
 }
 
 Tick
@@ -40,8 +37,9 @@ Tnet::contention_arrival(const Message &msg, Tick inject)
     // Wormhole approximation: the head pays per-hop delay and queues
     // behind busy links; each link stays occupied while the body
     // streams through at link bandwidth.
-    Tick head = inject + us_to_ticks(prm.prologUs);
-    Tick body = us_to_ticks(prm.perByteUs *
+    const mlsim::Params &p = cost.params();
+    Tick head = inject + us_to_ticks(p.network_prolog_time);
+    Tick body = us_to_ticks(p.network_msg_time *
                             static_cast<double>(msg.wire_bytes()));
     auto hops = topo.route(msg.src, msg.dst);
     for (const Hop &hop : hops) {
@@ -50,10 +48,11 @@ Tnet::contention_arrival(const Message &msg, Tick inject)
                 static_cast<std::uint64_t>(topo.size()) +
             static_cast<std::uint64_t>(hop.to);
         Tick &busy = linkBusy[key];
-        head = std::max(head, busy) + us_to_ticks(prm.delayPerHopUs);
+        head = std::max(head, busy) +
+               us_to_ticks(p.network_delay_time);
         busy = head + body;
     }
-    return head + body + us_to_ticks(prm.epilogUs);
+    return head + body + us_to_ticks(p.network_epilog_time);
 }
 
 void
@@ -132,7 +131,7 @@ Tnet::send(Message msg)
 
     Tick inject = sim.now();
     Tick arrive;
-    if (prm.linkContention && msg.src != msg.dst) {
+    if (linkContention && msg.src != msg.dst) {
         arrive = contention_arrival(msg, inject);
     } else {
         arrive = inject + latency(msg.src, msg.dst, msg.wire_bytes());

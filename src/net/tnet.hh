@@ -2,7 +2,8 @@
  * @file
  * The T-net: point-to-point 2-D torus interconnect.
  *
- * Timing follows MLSim's network model (Figure 7, items 15-18):
+ * Timing is MLSim's network model (Figure 7, items 15-18),
+ * mlsim::CostModel::network() over the machine's cost table:
  *
  *   latency = network_prolog_time
  *           + network_delay_time * distance
@@ -28,6 +29,7 @@
 
 #include "base/stats.hh"
 #include "base/types.hh"
+#include "mlsim/costmodel.hh"
 #include "net/link.hh"
 #include "net/message.hh"
 #include "net/topology.hh"
@@ -38,21 +40,6 @@
 
 namespace ap::net
 {
-
-/** Timing parameters of the T-net (microseconds, Figure 6 names). */
-struct TnetParams
-{
-    /** network_prolog_time: fixed injection cost. */
-    double prologUs = 0.16;
-    /** network_delay_time: per-hop routing delay. */
-    double delayPerHopUs = 0.16;
-    /** per-byte transfer time; 25 MB/s links -> 0.04 us/byte. */
-    double perByteUs = 0.04;
-    /** network_epilog_time: fixed ejection cost. */
-    double epilogUs = 0.0;
-    /** model per-link serialization (extension; off = paper model). */
-    bool linkContention = false;
-};
 
 /** Aggregate T-net statistics. */
 struct TnetStats
@@ -88,9 +75,12 @@ class Tnet final : public Link
     /**
      * @param sim owning simulator
      * @param topo torus shape
-     * @param params timing parameters
+     * @param cost the machine's cost table (network_* fields)
+     * @param linkContention model per-link serialization
+     *        (extension; false = the paper's model)
      */
-    Tnet(sim::Simulator &sim, Torus topo, TnetParams params);
+    Tnet(sim::Simulator &sim, Torus topo, const mlsim::Params &cost,
+         bool linkContention = false);
 
     /** Register the receive handler for cell @p id. */
     void attach(CellId id, Deliver deliver);
@@ -106,7 +96,6 @@ class Tnet final : public Link
 
     const Torus &topology() const { return topo; }
     const TnetStats &stats() const { return netStats; }
-    const TnetParams &params() const { return prm; }
 
     /**
      * Attach a fault injector (nullptr detaches). Injected faults:
@@ -149,7 +138,8 @@ class Tnet final : public Link
 
     sim::Simulator &sim;
     Torus topo;
-    TnetParams prm;
+    mlsim::CostModel cost;
+    bool linkContention;
     sim::FaultInjector *faults = nullptr;
     std::function<bool(CellId)> alive;
     std::vector<Deliver> handlers;

@@ -103,7 +103,7 @@ TEST(Machine, LinkContentionSlowsSharedIntermediateLinks)
     ASSERT_EQ(net::Torus::squarest(8).width(), 2);
     auto run_with = [](bool contention) {
         hw::MachineConfig cfg = small(8);
-        cfg.tnet.linkContention = contention;
+        cfg.linkContention = contention;
         hw::Machine m(cfg);
         auto r = run_spmd(m, [](Context &ctx) {
             constexpr std::uint32_t bytes = 1 << 16;
@@ -255,4 +255,117 @@ TEST(Machine, FaultHookCoversEveryCell)
     set_quiet(false);
     EXPECT_EQ(faults, 3);
     EXPECT_EQ(m.cell(2).msc().stats().remoteFaults, 3u);
+}
+
+namespace
+{
+
+/**
+ * One program that pays every cost the emulator charges: SEND and
+ * RECEIVE (ring deposit, search, per-byte copy), PUT with send and
+ * receive flags (enqueue, send DMA setup and stream, T-net transit,
+ * receive DMA, flag updates), GET, remote load/store issue, a
+ * communication-register allreduce, an S-net barrier, a B-net
+ * broadcast, a vector allreduce and flop-rated compute, and a burst
+ * that spills the user queue into DRAM so the MSC+ takes refill
+ * interrupts.
+ */
+void
+every_cost_program(Context &ctx)
+{
+    const int n = ctx.nprocs();
+    const CellId me = ctx.id();
+    const CellId right = (me + 1) % n;
+    const CellId left = (me + n - 1) % n;
+    Addr buf = ctx.alloc(4096);
+    Addr in = ctx.alloc(4096);
+    Addr vec = ctx.alloc(64 * sizeof(double));
+    Addr sf = ctx.alloc_flag();
+    Addr rf = ctx.alloc_flag();
+    Addr gf = ctx.alloc_flag();
+    Addr bf = ctx.alloc_flag();
+
+    ctx.send(right, 7, buf, 256);
+    ctx.recv(left, 7, in, 4096);
+
+    ctx.put(right, in, buf, 1024, sf, rf, true);
+    ctx.wait_flag(sf, 1);
+    ctx.wait_flag(rf, 1);
+    ctx.wait_all_acks();
+
+    ctx.get(left, in, buf, 512, no_flag, gf);
+    ctx.wait_flag(gf, 1);
+
+    ctx.remote_store_u32(right, in, me);
+    ctx.remote_load_u32(left, in);
+
+    ctx.allreduce(static_cast<double>(me), ReduceOp::sum);
+    ctx.barrier();
+
+    ctx.broadcast(3, buf, 2048, bf);
+    if (me != 3)
+        ctx.wait_flag(bf, 1);
+
+    for (int i = 0; i < 64; ++i)
+        ctx.poke_f64(vec + i * sizeof(double), me + i);
+    ctx.allreduce_vector(vec, 64, ReduceOp::sum);
+    ctx.compute_flops(1234.0 + me);
+
+    // 24 PUTs against the 8-command hardware queue.
+    if (me == 0)
+        for (int i = 0; i < 24; ++i)
+            ctx.put(5, in, buf, 64, no_flag, rf);
+    if (me == 5)
+        ctx.wait_flag(rf, 25);
+    ctx.barrier();
+}
+
+} // namespace
+
+TEST(Machine, EveryCostKeyPinnedTicks)
+{
+    // Pins simulated time for a program that reads every cost the
+    // emulator charges: a change to any charge, or to the order in
+    // which they are summed, moves the finish tick or the digest.
+    hw::Machine m(small(16));
+    sim::TickHistory hist;
+    m.sim().set_history(&hist);
+    auto r = run_spmd(m, every_cost_program);
+    ASSERT_FALSE(r.deadlock);
+    EXPECT_TRUE(r.errors.empty());
+    EXPECT_GT(m.cell(0).msc().user_queue().stats().refillInterrupts,
+              0u);
+    EXPECT_GT(m.bnet().count(), 0u);
+    EXPECT_EQ(r.finishTick, Tick{1505500});
+    EXPECT_EQ(hist.digest(), "events=3512 hash=0x3215bc8b76f8e983");
+}
+
+TEST(Machine, EmulatorChargesFromTheCostTable)
+{
+    // The machine's cost table is what the emulator charges: doubling
+    // network_delay_time lengthens a one-hop PUT by exactly one more
+    // hop delay.
+    auto landed = [](double delayUs) {
+        hw::MachineConfig cfg = small(2);
+        cfg.cost.network_delay_time = delayUs;
+        hw::Machine m(cfg);
+        Tick at = 0;
+        auto r = run_spmd(m, [&](Context &ctx) {
+            Addr buf = ctx.alloc(1024);
+            Addr rf = ctx.alloc_flag();
+            if (ctx.id() == 0) {
+                ctx.put(1, buf, buf, 1024, no_flag, rf);
+            } else {
+                ctx.wait_flag(rf, 1);
+                at = ctx.now();
+            }
+        });
+        EXPECT_FALSE(r.deadlock);
+        return at;
+    };
+    ASSERT_EQ(net::Torus::squarest(2).distance(0, 1), 1);
+    const double d = mlsim::Params::ap1000_plus().network_delay_time;
+    Tick base = landed(d);
+    EXPECT_GT(base, us_to_ticks(d));
+    EXPECT_EQ(landed(2 * d) - base, us_to_ticks(d));
 }

@@ -68,13 +68,25 @@ TEST(Params, PaperValuesInPresets)
 
 TEST(Params, FileRoundTrip)
 {
-    Params p = Params::ap1000_plus();
-    p.gop_step_time = 3.25;
-    Params q = Params::from_file(p.to_file());
-    EXPECT_DOUBLE_EQ(q.computation_factor, p.computation_factor);
-    EXPECT_DOUBLE_EQ(q.put_dma_set_time, p.put_dma_set_time);
-    EXPECT_DOUBLE_EQ(q.gop_step_time, 3.25);
-    EXPECT_EQ(q.hw(), p.hw());
+    // The file is lossless: every field of every preset, and values
+    // off any fixed decimal grid, read back as the same double.
+    Params offGrid = Params::ap1000_plus();
+    offGrid.name = "off grid";
+    offGrid.gop_step_time = 3.25;
+    offGrid.recv_copy_time = 0.0123456;
+    offGrid.network_msg_time = 4e-05;
+    for (const Params &p : {Params::ap1000(), Params::ap1000_plus(),
+                            Params::ap1000_fast(), offGrid}) {
+        Params q = Params::from_file(p.to_file());
+        EXPECT_EQ(q.name, p.name);
+        for (const Params::Field &f : Params::fields())
+            EXPECT_EQ(q.*(f.member), p.*(f.member))
+                << p.name << " " << f.key;
+        EXPECT_EQ(q.to_file(), p.to_file());
+    }
+    Params q = Params::from_file(offGrid.to_file());
+    EXPECT_EQ(q.recv_copy_time, 0.0123456);
+    EXPECT_EQ(q.network_msg_time, 4e-05);
 }
 
 TEST(Params, SetGetByName)

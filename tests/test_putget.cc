@@ -398,7 +398,7 @@ TEST(PutGet, OverlapKeepsProcessorFree)
     // to the processor.
     EXPECT_EQ(issue_small, issue_big);
     EXPECT_EQ(issue_small,
-              us_to_ticks(m1.config().timings.enqueueUs));
+              us_to_ticks(m1.config().cost.put_enqueue_time));
 }
 
 TEST(PutGet, DeadlockIsReportedNotHung)

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "base/random.hh"
+#include "mlsim/costmodel.hh"
 #include "net/tnet.hh"
 #include "sim/eventq.hh"
 #include "sim/fault.hh"
@@ -20,6 +21,8 @@ using namespace ap::net;
 
 namespace
 {
+
+const mlsim::Params kCost = mlsim::Params::ap1000_plus();
 
 Message
 mk(CellId src, CellId dst, std::size_t bytes)
@@ -37,11 +40,11 @@ mk(CellId src, CellId dst, std::size_t bytes)
 TEST(Tnet, LatencyFollowsTheModel)
 {
     sim::Simulator sim;
-    TnetParams p;
-    p.prologUs = 0.16;
-    p.delayPerHopUs = 0.16;
-    p.perByteUs = 0.04;
-    p.epilogUs = 0.0;
+    mlsim::Params p = kCost;
+    p.network_prolog_time = 0.16;
+    p.network_delay_time = 0.16;
+    p.network_msg_time = 0.04;
+    p.network_epilog_time = 0.0;
     Tnet net(sim, Torus(4, 4), p);
 
     // distance(0, 1) = 1 hop; 100-byte wire message.
@@ -53,10 +56,35 @@ TEST(Tnet, LatencyFollowsTheModel)
     EXPECT_EQ(lat4, us_to_ticks(0.16 + 0.16 * 4 + 0.04 * 100));
 }
 
+TEST(Tnet, LatencyIsTheCostModelNetworkTime)
+{
+    // The transit formula lives in mlsim::CostModel::network alone:
+    // the T-net's latency is that time rounded to ticks, for any
+    // table, distance and size.
+    mlsim::Params offGrid = kCost;
+    offGrid.network_prolog_time = 0.37;
+    offGrid.network_delay_time = 0.0123456;
+    offGrid.network_msg_time = 4e-05;
+    offGrid.network_epilog_time = 1.5;
+    for (const mlsim::Params &p :
+         {kCost, mlsim::Params::ap1000(), offGrid}) {
+        sim::Simulator sim;
+        Tnet net(sim, Torus(8, 8), p);
+        mlsim::CostModel model(p);
+        for (CellId dst = 0; dst < 64; dst += 3)
+            for (std::uint64_t bytes :
+                 {0ull, 1ull, 32ull, 100ull, 4096ull, 65536ull})
+                EXPECT_EQ(net.latency(0, dst, bytes),
+                          us_to_ticks(model.network(
+                              Torus(8, 8).distance(0, dst), bytes)))
+                    << "dst " << dst << " bytes " << bytes;
+    }
+}
+
 TEST(Tnet, DeliversToAttachedHandler)
 {
     sim::Simulator sim;
-    Tnet net(sim, Torus(2, 2), TnetParams{});
+    Tnet net(sim, Torus(2, 2), kCost);
     std::vector<Message> got;
     for (CellId c = 0; c < 4; ++c)
         net.attach(c, [&](Message m) { got.push_back(std::move(m)); });
@@ -74,7 +102,7 @@ TEST(Tnet, PerPairFifoEvenWhenSizesInvert)
     // A big message injected first must not be overtaken by a small
     // one on the same pair — static routing passes messages in order.
     sim::Simulator sim;
-    Tnet net(sim, Torus(4, 1), TnetParams{});
+    Tnet net(sim, Torus(4, 1), kCost);
     std::vector<std::size_t> sizes;
     for (CellId c = 0; c < 4; ++c)
         net.attach(c,
@@ -94,7 +122,7 @@ TEST(Tnet, ArrivedTrafficLeavesNoStaleClamp)
     // clamp: a later small message pays pure latency, whether it is
     // injected well after that arrival or exactly at its tick.
     sim::Simulator sim;
-    Tnet net(sim, Torus(4, 1), TnetParams{});
+    Tnet net(sim, Torus(4, 1), kCost);
     for (CellId c = 0; c < 4; ++c)
         net.attach(c, [](Message) {});
 
@@ -115,7 +143,7 @@ TEST(Tnet, InterleavedDestinationsKeepPerPairFifo)
     // The second 0->1 message is clamped behind the first, and the
     // 0->2 message in between neither clamps nor is clamped.
     sim::Simulator sim;
-    Tnet net(sim, Torus(4, 1), TnetParams{});
+    Tnet net(sim, Torus(4, 1), kCost);
     std::vector<std::pair<CellId, std::size_t>> got;
     for (CellId c = 0; c < 4; ++c)
         net.attach(c, [&, c](Message m) {
@@ -139,7 +167,7 @@ TEST(Tnet, JitterNeverReordersAPair)
     // plan, every pair still delivers in injection order, while the
     // jitter itself is visible in the arrival times.
     sim::Simulator sim;
-    Tnet net(sim, Torus(4, 2), TnetParams{});
+    Tnet net(sim, Torus(4, 2), kCost);
     sim::FaultInjector faults(sim::FaultPlan::jitter(17, 20.0));
     net.set_fault_injector(&faults);
     const int cells = 8;
@@ -180,7 +208,7 @@ TEST(Tnet, JitterNeverReordersAPair)
 TEST(Tnet, DifferentPairsMayOvertake)
 {
     sim::Simulator sim;
-    Tnet net(sim, Torus(4, 1), TnetParams{});
+    Tnet net(sim, Torus(4, 1), kCost);
     std::vector<CellId> arrivals;
     for (CellId c = 0; c < 4; ++c)
         net.attach(c, [&, c](Message) { arrivals.push_back(c); });
@@ -196,7 +224,7 @@ TEST(Tnet, DifferentPairsMayOvertake)
 TEST(Tnet, StatsAccumulate)
 {
     sim::Simulator sim;
-    Tnet net(sim, Torus(4, 4), TnetParams{});
+    Tnet net(sim, Torus(4, 4), kCost);
     for (CellId c = 0; c < 16; ++c)
         net.attach(c, [](Message) {});
 
@@ -215,7 +243,7 @@ TEST(Tnet, StatsAccumulate)
 TEST(Tnet, SelfSendStillWorks)
 {
     sim::Simulator sim;
-    Tnet net(sim, Torus(2, 2), TnetParams{});
+    Tnet net(sim, Torus(2, 2), kCost);
     bool got = false;
     for (CellId c = 0; c < 4; ++c)
         net.attach(c, [&](Message) { got = true; });
@@ -228,19 +256,18 @@ TEST(TnetContention, SharedLinkSerializes)
 {
     // Two messages crossing the same directed link back-to-back must
     // arrive strictly later than either alone.
-    TnetParams p;
-    p.linkContention = true;
-    p.perByteUs = 0.04;
+    mlsim::Params p = kCost;
+    p.network_msg_time = 0.04;
 
     sim::Simulator sim1;
-    Tnet solo(sim1, Torus(4, 1), p);
+    Tnet solo(sim1, Torus(4, 1), p, /*linkContention=*/true);
     Tick solo_arrival = 0;
     for (CellId c = 0; c < 4; ++c)
         solo.attach(c, [](Message) {});
     solo_arrival = solo.send(mk(0, 2, 10000));
 
     sim::Simulator sim2;
-    Tnet busy(sim2, Torus(4, 1), p);
+    Tnet busy(sim2, Torus(4, 1), p, /*linkContention=*/true);
     for (CellId c = 0; c < 4; ++c)
         busy.attach(c, [](Message) {});
     busy.send(mk(0, 2, 10000));
@@ -252,11 +279,8 @@ TEST(TnetContention, SharedLinkSerializes)
 
 TEST(TnetContention, DisjointPathsDoNotSerialize)
 {
-    TnetParams p;
-    p.linkContention = true;
-
     sim::Simulator sim;
-    Tnet net(sim, Torus(4, 1), p);
+    Tnet net(sim, Torus(4, 1), kCost, /*linkContention=*/true);
     for (CellId c = 0; c < 4; ++c)
         net.attach(c, [](Message) {});
     Tick a = net.send(mk(0, 1, 10000));  // link 0->1
