@@ -1,5 +1,6 @@
 #include "mlsim/params.hh"
 
+#include <algorithm>
 #include <charconv>
 #include <string_view>
 
@@ -189,6 +190,8 @@ Params
 Params::from_file(const std::string &text)
 {
     Params p;
+    const std::vector<Field> &fs = fields();
+    std::vector<bool> seen(fs.size(), false);
     bool named = false;
     int lineno = 0;
     for (const std::string &raw : split(text, '\n')) {
@@ -215,10 +218,24 @@ Params::from_file(const std::string &text)
         if (!value)
             fatal("parameter file line %d: bad value '%s'", lineno,
                   toks[1].c_str());
-        if (!p.set(toks[0], *value))
+        auto f = std::find_if(fs.begin(), fs.end(), [&](const Field &x) {
+            return toks[0] == x.key;
+        });
+        if (f == fs.end())
             fatal("parameter file line %d: unknown parameter '%s'",
                   lineno, toks[0].c_str());
+        p.*(f->member) = *value;
+        seen[static_cast<std::size_t>(f - fs.begin())] = true;
     }
+    // A missing key would silently keep its AP1000 default and turn
+    // a partial file into a hybrid machine.
+    std::string missing;
+    for (std::size_t i = 0; i < fs.size(); ++i)
+        if (!seen[i])
+            missing += std::string(missing.empty() ? "" : ", ") +
+                       fs[i].key;
+    if (!missing.empty())
+        fatal("parameter file is missing keys: %s", missing.c_str());
     return p;
 }
 

@@ -138,8 +138,9 @@ struct Params
     std::string to_file() const;
 
     /**
-     * Parse the Figure 6 file format. Unknown keys are fatal (a
-     * typo'd parameter silently defaulting would poison results).
+     * Parse the Figure 6 file format. Unknown and missing keys are
+     * fatal (a typo'd or omitted parameter silently defaulting would
+     * poison results); to_file() writes every key.
      */
     static Params from_file(const std::string &text);
 

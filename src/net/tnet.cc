@@ -197,7 +197,8 @@ Tnet::send(Message msg)
             faults->try_hold(msg.dst,
                              sim::FaultInjector::HoldKind::reorder)) {
             // Held back past the FIFO clamp already recorded in
-            // `last`: later same-pair traffic overtakes this message.
+            // `inFlight`: later same-pair traffic overtakes this
+            // message.
             ++netStats.reordered;
             if (tracer)
                 tracer->instant(obs::machine_track, "fault",

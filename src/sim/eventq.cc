@@ -120,6 +120,38 @@ Simulator::schedule_for(int affinity, Tick when, EventFn fn)
     sh.queue.push(when, sh.nextSeq++, affinity, std::move(fn));
 }
 
+EventKey
+Simulator::reserve_key(int affinity, Tick when)
+{
+    if (numShards == 1) {
+        if (when < globalTime)
+            panic_past(when, globalTime);
+        return {when, shardsVec.front().nextSeq++};
+    }
+    Shard &sh = keyed_shard(affinity, when);
+    std::unique_lock<std::mutex> lock(qMutex, std::defer_lock);
+    if (tls.owner != this)
+        lock.lock(); // no run in progress (see schedule_sharded)
+    return {when, next_seq(sh)};
+}
+
+void
+Simulator::schedule_at_key(int affinity, EventKey key, EventFn fn)
+{
+    if (numShards == 1) {
+        if (key.when < globalTime)
+            panic_past(key.when, globalTime);
+        shardsVec.front().queue.push(key.when, key.seq, affinity,
+                                     std::move(fn));
+        return;
+    }
+    Shard &sh = keyed_shard(affinity, key.when);
+    std::unique_lock<std::mutex> lock(qMutex, std::defer_lock);
+    if (tls.owner != this)
+        lock.lock();
+    push_keyed(sh, affinity, key, std::move(fn));
+}
+
 bool
 Simulator::step_one()
 {
@@ -227,12 +259,29 @@ Simulator::sharded_now() const
 }
 
 void
-Simulator::push_to(Shard &sh, int affinity, Tick when, EventFn fn)
+Simulator::push_keyed(Shard &sh, int affinity, EventKey key,
+                      EventFn fn)
 {
-    sh.queue.push(when, cfg.deterministic ? globalSeq++ : sh.nextSeq++,
-                  affinity, std::move(fn));
+    sh.queue.push(key.when, key.seq, affinity, std::move(fn));
     sh.stats.maxPending =
         std::max<std::uint64_t>(sh.stats.maxPending, sh.queue.size());
+}
+
+Simulator::Shard &
+Simulator::keyed_shard(int affinity, Tick when)
+{
+    Tick t = sharded_now();
+    if (when < t)
+        panic_past(when, t);
+    int target = shard_of(affinity);
+    // A key is only meaningful in its own shard's sequence, and a
+    // keyed push bypasses the handoff outboxes: inside a run it may
+    // only target the executing shard.
+    if (tls.owner == this && target != tls.shard)
+        panic("keyed event for affinity %d routes to shard %d, not "
+              "the executing shard %d",
+              affinity, target, tls.shard);
+    return shardsVec[static_cast<std::size_t>(target)];
 }
 
 void

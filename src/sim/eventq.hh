@@ -41,8 +41,8 @@
  *   touches only its own timeline's state
  *   (ShardQ.ParallelRunIsReproducibleRunToRun pins it). Machine runs
  *   are not: components share order-sensitive state across shards
- *   (the fault injector's RNG draw sequence, the T-net FIFO clamp),
- *   and shards reach it in host order within a window. Seed 11 of
+ *   (the fault injector's RNG draw sequence), and shards reach it in
+ *   host order within a window. Seed 11 of
  *   perfbench's halo_put_t4 gave a different simulated finish time
  *   on repeated parallel passes (perfbench/README.md).
  *
@@ -176,6 +176,26 @@ class TickHistory
     std::vector<std::pair<Tick, int>> logBuf;
 };
 
+/**
+ * The execution-order key of an event: the kernel runs events in
+ * ascending (when, seq). reserve_key() hands one out without
+ * scheduling anything; schedule_at_key() pushes an event at it later.
+ * The default key (max_tick) means "none" and sorts after every real
+ * key.
+ */
+struct EventKey
+{
+    Tick when = max_tick;
+    std::uint64_t seq = 0;
+
+    bool
+    operator<(const EventKey &o) const
+    {
+        return when != o.when ? when < o.when : seq < o.seq;
+    }
+    bool operator==(const EventKey &o) const = default;
+};
+
 /** Construction knobs of the kernel. */
 struct ShardConfig
 {
@@ -304,6 +324,24 @@ class Simulator
      * Negative affinities mean "no particular timeline".
      */
     void schedule_for(int affinity, Tick when, EventFn fn);
+
+    /**
+     * Reserve the key schedule_for(@p affinity, @p when, ...) would
+     * give an event now, consuming its sequence number (every later
+     * schedule gets the key it would have got had the event been
+     * pushed), without scheduling anything. Inside a run the
+     * affinity must route to the calling shard.
+     */
+    EventKey reserve_key(int affinity, Tick when);
+
+    /**
+     * Schedule @p fn at @p key, reserved earlier by reserve_key() for
+     * the same affinity. The event runs at exactly the position an
+     * event pushed at reservation time would have: queues order by
+     * key, not by push order. The key must not precede the event
+     * currently executing.
+     */
+    void schedule_at_key(int affinity, EventKey key, EventFn fn);
 
     /**
      * Schedule @p fn to run @p delta ticks from now. Relative delays
@@ -481,9 +519,24 @@ class Simulator
 
     Tick sharded_now() const;
     void schedule_sharded(int affinity, Tick when, EventFn fn);
-    /** Push onto @p sh with the mode's sequence number and track
-     *  its depth high-water mark. */
-    void push_to(Shard &sh, int affinity, Tick when, EventFn fn);
+    /** The mode's next sequence number for an event on @p sh. */
+    std::uint64_t
+    next_seq(Shard &sh)
+    {
+        return cfg.deterministic ? globalSeq++ : sh.nextSeq++;
+    }
+    /** Push onto @p sh with the mode's sequence number. */
+    void
+    push_to(Shard &sh, int affinity, Tick when, EventFn fn)
+    {
+        push_keyed(sh, affinity, {when, next_seq(sh)}, std::move(fn));
+    }
+    /** Push onto @p sh at @p key and track its depth high-water
+     *  mark. */
+    void push_keyed(Shard &sh, int affinity, EventKey key, EventFn fn);
+    /** The shard a keyed event for @p affinity at @p when lives on;
+     *  panics on a past tick or, inside a run, a foreign shard. */
+    Shard &keyed_shard(int affinity, Tick when);
     void note_window(const WindowRecord &rec);
     void merge_outboxes();
     void drain_shard(int s, Tick windowEnd);

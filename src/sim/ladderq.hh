@@ -71,8 +71,8 @@ class LadderQueue
     LadderQueue(const LadderQueue &) = delete;
     LadderQueue &operator=(const LadderQueue &) = delete;
 
-    /** Schedule. @p seq must be unique and, within a tick,
-     *  monotonically increasing (the FIFO tie-break). */
+    /** Schedule. @p seq must be unique within a tick (the
+     *  tie-break); pushes may come in any key order. */
     void push(Tick when, std::uint64_t seq, int affinity,
               EventFn fn);
 

@@ -7,12 +7,98 @@
 namespace ap::sim
 {
 
+/**
+ * One chain of deadline events per process instead of one event per
+ * timed wait (DESIGN.md "The flag-wait watchdog").
+ *
+ * Every wait_until() reserves the key its own deadline event would
+ * get, but pushes an event (a *link*) only when that key precedes
+ * every link already queued. Links therefore form a stack, earliest
+ * on top, and fire in that order: a firing link is always `head`. It
+ * times the wait out only when its key is the current wait's key;
+ * otherwise it re-pushes at the next key still needed — the current
+ * wait's, or else the latest key ever armed, so the chain ends where
+ * the last per-wait event would have fired and run() drains at the
+ * same tick.
+ *
+ * Only the process's own fiber and its links (both on the process's
+ * shard) write this state; ~Process writes it only for a process
+ * destroyed mid-wait, which no link can be racing.
+ */
+struct Process::Watchdog
+{
+    Simulator &sim;
+    int affinity;
+    Process *owner;
+    EventKey head;    ///< earliest queued link (none: default key)
+    EventKey wait;    ///< current timed wait's deadline (none: default)
+    EventKey last{0}; ///< latest deadline key ever armed
+
+    /** Push a link at @p key on top of the stack. */
+    static void
+    link(const std::shared_ptr<Watchdog> &st, EventKey key)
+    {
+        st->sim.schedule_at_key(
+            st->affinity, key,
+            [st, below = st->head]() { fire(st, below); });
+        st->head = key;
+    }
+
+    static void fire(const std::shared_ptr<Watchdog> &st,
+                     EventKey below);
+};
+
+void
+Process::Watchdog::fire(const std::shared_ptr<Watchdog> &st,
+                        EventKey below)
+{
+    EventKey k = st->head;
+    st->head = below;
+    Process *p = st->owner;
+    bool timeout = false;
+    if (st->wait == k && p->parkedOn) {
+        auto &parked = p->parkedOn->parked;
+        auto it = std::find(parked.begin(), parked.end(), p);
+        // Not found: a notification at this tick beat the watchdog.
+        if (it != parked.end()) {
+            parked.erase(it);
+            st->wait = EventKey{};
+            timeout = true;
+        }
+    }
+
+    // Relink before resuming: the fiber may arm its next wait.
+    EventKey next;
+    if (k < st->last)
+        next = st->last;
+    if (k < st->wait && st->wait < next)
+        next = st->wait;
+    if (next < st->head)
+        link(st, next);
+
+    if (timeout) {
+        p->parkedOn = nullptr;
+        p->blockedTicks += st->sim.now() - p->parkStart;
+        p->timedOut = true;
+        p->resume_from_event();
+    }
+}
+
 Process::Process(Simulator &sim, std::string name,
                  std::function<void(Process &)> body)
     : sim(sim),
       label(std::move(name)),
       fiber([this, body = std::move(body)]() { body(*this); })
 {
+}
+
+Process::~Process()
+{
+    // Destroyed mid-wait (never resumed): let the chain run out
+    // without touching this process. Test before writing: a finished
+    // process is reaped from another shard while its links may fire.
+    if (watchdog && watchdog->wait != EventKey{})
+        watchdog->wait = EventKey{};
 }
 
 void
@@ -49,7 +135,6 @@ Process::wait(Condition &cond)
               label.c_str());
     parkedOn = &cond;
     parkStart = sim.now();
-    ++waitSeq;
     cond.parked.push_back(this);
     Fiber::yield();
 }
@@ -66,31 +151,19 @@ Process::wait_until(Condition &cond, Tick deadline)
     parkedOn = &cond;
     parkStart = sim.now();
     timedOut = false;
-    std::uint64_t seq = ++waitSeq;
     cond.parked.push_back(this);
 
-    // The watchdog resumes us at the deadline unless a notification
-    // already did (detected via the wait sequence number). The event
-    // can outlive the process itself (gangs are reaped mid-run once
-    // finished): the weak liveness token makes it a no-op then.
-    sim.schedule_for(aff, deadline, [this, &cond, seq,
-                                     w = std::weak_ptr<char>(live)]() {
-        if (w.expired())
-            return; // process already destroyed
-        if (parkedOn != &cond || waitSeq != seq)
-            return; // already woken (possibly parked elsewhere)
-        auto it = std::find(cond.parked.begin(), cond.parked.end(),
-                            this);
-        if (it == cond.parked.end())
-            return; // notification at this tick beat the watchdog
-        cond.parked.erase(it);
-        parkedOn = nullptr;
-        blockedTicks += sim.now() - parkStart;
-        timedOut = true;
-        resume_from_event();
-    });
+    if (!watchdog)
+        watchdog = std::make_shared<Watchdog>(sim, aff, this);
+    EventKey key = sim.reserve_key(aff, deadline);
+    watchdog->wait = key;
+    if (watchdog->last < key)
+        watchdog->last = key;
+    if (key < watchdog->head)
+        Watchdog::link(watchdog, key);
 
     Fiber::yield();
+    watchdog->wait = EventKey{};
     return !timedOut;
 }
 

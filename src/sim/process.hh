@@ -62,6 +62,8 @@ class Process
     Process(Simulator &sim, std::string name,
             std::function<void(Process &)> body);
 
+    ~Process();
+
     Process(const Process &) = delete;
     Process &operator=(const Process &) = delete;
 
@@ -86,7 +88,10 @@ class Process
     /**
      * Park on @p cond until notified or until the absolute simulated
      * time @p deadline, whichever comes first — the primitive behind
-     * every communication timeout.
+     * every communication timeout. The timeout fires at the
+     * (tick, sequence) key an event scheduled at the call would get,
+     * but the process keeps only one chain of deadline events for
+     * all its timed waits (see Watchdog in process.cc).
      *
      * @return true when woken by a notification, false on timeout.
      * Like wait(), callers must re-check their predicate on a true
@@ -122,6 +127,7 @@ class Process
 
   private:
     friend class Condition;
+    struct Watchdog;
 
     void resume_from_event();
 
@@ -133,17 +139,14 @@ class Process
     Tick parkStart = 0;
     Tick blockedTicks = 0;
     Tick delayedTicks = 0;
-    /** Incremented per park; lets a timeout event detect staleness. */
-    std::uint64_t waitSeq = 0;
     /** Set by the timeout path for wait_until()'s return value. */
     bool timedOut = false;
     /**
-     * Liveness token for events that capture this process. A
-     * wait_until() timeout event can outlive its process (the serve
-     * layer reaps finished gangs mid-run); the event holds a weak_ptr
-     * and becomes a no-op once the process is destroyed.
+     * Deadline-chain state, made by the first wait_until(). Queued
+     * chain events share it, so it outlives the process (the serve
+     * layer reaps finished gangs mid-run).
      */
-    std::shared_ptr<char> live = std::make_shared<char>(0);
+    std::shared_ptr<Watchdog> watchdog;
 };
 
 } // namespace ap::sim

@@ -117,6 +117,38 @@ TEST(EventQueueDeath, SchedulingBehindRunUntilClockPanics)
     EXPECT_DEATH(sim.schedule(39, []() {}), "past");
 }
 
+TEST(EventQueue, KeyedEventRunsAtItsReservedPosition)
+{
+    // A key reserved before a same-tick event was scheduled runs
+    // ahead of it even when its event is pushed later.
+    for (int shards : {1, 4}) {
+        ShardConfig cfg;
+        cfg.shards = shards;
+        cfg.deterministic = true;
+        Simulator sim(cfg);
+        std::vector<int> order;
+        EventKey k = sim.reserve_key(0, 50);
+        sim.schedule_for(0, 50, [&]() { order.push_back(2); });
+        sim.schedule_for(0, 10, [&]() {
+            sim.schedule_at_key(0, k, [&]() { order.push_back(1); });
+        });
+        sim.run();
+        EXPECT_EQ(order, (std::vector<int>{1, 2})) << shards;
+    }
+}
+
+TEST(EventQueueDeath, KeyedEventOnAForeignShardPanics)
+{
+    // Keyed events skip the handoff outboxes, so inside a run they
+    // must stay on the executing shard.
+    ShardConfig cfg;
+    cfg.shards = 2;
+    cfg.deterministic = true;
+    Simulator sim(cfg);
+    sim.schedule_for(0, 10, [&]() { sim.reserve_key(1, 20); });
+    EXPECT_DEATH(sim.run(), "executing shard");
+}
+
 TEST(EventQueue, JitterHookStretchesRelativeDelaysOnly)
 {
     Simulator sim;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "base/logging.hh"
+#include "base/strings.hh"
 #include "core/ap1000p.hh"
 #include "mlsim/costmodel.hh"
 #include "mlsim/params.hh"
@@ -102,6 +103,23 @@ TEST(Params, SetGetByName)
 TEST(ParamsDeath, UnknownKeyInFileIsFatal)
 {
     EXPECT_DEATH(Params::from_file("bogus_time 1.0\n"), "unknown");
+}
+
+TEST(ParamsDeath, MissingKeysInFileAreFatal)
+{
+    // A partial file must not inherit the AP1000 defaults: the error
+    // names every key the file left out.
+    std::string full = Params::ap1000_plus().to_file();
+    std::string partial;
+    for (const std::string &line : split(full, '\n'))
+        if (line.rfind("put_dma_set_time", 0) != 0 &&
+            line.rfind("hardware_handling", 0) != 0)
+            partial += line + "\n";
+    EXPECT_DEATH(Params::from_file(partial),
+                 "missing keys: .*put_dma_set_time.*hardware_handling");
+    EXPECT_DEATH(Params::from_file("# AP1000+ model\n"
+                                   "network_delay_time 0.2\n"),
+                 "missing keys: computation_factor, ");
 }
 
 // ------------------------------------------------------------ cost model
