@@ -53,8 +53,8 @@ class DmaEngine
                              net::StrideSpec spec,
                              std::span<const std::uint8_t> buf);
 
-  private:
-    /** Read one contiguous logical run, page by page. */
+    /** Read one contiguous logical run, page by page. Partial data
+     *  may land in @p buf on fault. */
     static DmaResult read_run(Mmu &mmu, const CellMemory &mem,
                               Addr addr, std::span<std::uint8_t> buf);
 

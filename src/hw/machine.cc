@@ -1,8 +1,10 @@
 #include "hw/machine.hh"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdlib>
+#include <iterator>
 
 #include "base/logging.hh"
 #include "mlsim/costmodel.hh"
@@ -308,128 +310,144 @@ Machine::register_stats()
     statsReg.add_gauge("comm.retry.giveup",
                        [this]() { return retryGiveups.load(); });
 
-    // Per-cell subtrees.
+    // Per-cell subtrees: registered as (cell, name), so no path
+    // string is built per cell. The queue names are built once.
+    static constexpr const char *queue_stat[] = {
+        "pushes",           "pops",         "spills",
+        "refill_interrupts", "max_hw_depth", "max_spill_depth"};
+    auto queue_names = [](const char *q) {
+        std::array<std::string, std::size(queue_stat)> n;
+        for (std::size_t i = 0; i < n.size(); ++i)
+            n[i] = strprintf("msc.%s.%s", q, queue_stat[i]);
+        return n;
+    };
+    const auto userQ = queue_names("user_queue");
+    const auto systemQ = queue_names("system_queue");
+    const auto remoteQ = queue_names("remote_queue");
+    const auto getReplyQ = queue_names("get_reply_queue");
+    const auto loadReplyQ = queue_names("load_reply_queue");
+    std::size_t before = statsReg.size();
     for (auto &cp : cells) {
         Cell *c = cp.get();
-        std::string p = strprintf("cell%d.", c->id());
+        const int id = c->id();
+        // Every cell registers the paths cell 0 did.
+        if (id == 1)
+            statsReg.reserve((cells.size() - 1) *
+                             (statsReg.size() - before));
 
         const MscStats &m = c->msc().stats();
-        statsReg.add_counter(p + "msc.puts_sent", &m.putsSent);
-        statsReg.add_counter(p + "msc.gets_sent", &m.getsSent);
-        statsReg.add_counter(p + "msc.sends_sent", &m.sendsSent);
-        statsReg.add_counter(p + "msc.get_replies_sent",
+        statsReg.add_counter({id, "msc.puts_sent"}, &m.putsSent);
+        statsReg.add_counter({id, "msc.gets_sent"}, &m.getsSent);
+        statsReg.add_counter({id, "msc.sends_sent"}, &m.sendsSent);
+        statsReg.add_counter({id, "msc.get_replies_sent"},
                              &m.getRepliesSent);
-        statsReg.add_counter(p + "msc.puts_received",
+        statsReg.add_counter({id, "msc.puts_received"},
                              &m.putsReceived);
-        statsReg.add_counter(p + "msc.sends_received",
+        statsReg.add_counter({id, "msc.sends_received"},
                              &m.sendsReceived);
-        statsReg.add_counter(p + "msc.get_requests_received",
+        statsReg.add_counter({id, "msc.get_requests_received"},
                              &m.getRequestsReceived);
-        statsReg.add_counter(p + "msc.get_replies_received",
+        statsReg.add_counter({id, "msc.get_replies_received"},
                              &m.getRepliesReceived);
-        statsReg.add_counter(p + "msc.remote_stores",
+        statsReg.add_counter({id, "msc.remote_stores"},
                              &m.remoteStores);
-        statsReg.add_counter(p + "msc.remote_loads", &m.remoteLoads);
-        statsReg.add_counter(p + "msc.acks_received",
+        statsReg.add_counter({id, "msc.remote_loads"}, &m.remoteLoads);
+        statsReg.add_counter({id, "msc.acks_received"},
                              &m.acksReceived);
-        statsReg.add_counter(p + "msc.payload_bytes_sent",
+        statsReg.add_counter({id, "msc.payload_bytes_sent"},
                              &m.payloadBytesSent);
-        statsReg.add_counter(p + "msc.payload_bytes_received",
+        statsReg.add_counter({id, "msc.payload_bytes_received"},
                              &m.payloadBytesReceived);
-        statsReg.add_counter(p + "msc.local_faults", &m.localFaults);
-        statsReg.add_counter(p + "msc.remote_faults",
+        statsReg.add_counter({id, "msc.local_faults"}, &m.localFaults);
+        statsReg.add_counter({id, "msc.remote_faults"},
                              &m.remoteFaults);
-        statsReg.add_counter(p + "msc.flushed_messages",
+        statsReg.add_counter({id, "msc.flushed_messages"},
                              &m.flushedMessages);
-        statsReg.add_histogram(p + "msc.cmd_latency_us",
+        statsReg.add_histogram({id, "msc.cmd_latency_us"},
                                &m.cmdLatencyUs);
-        statsReg.add_gauge(p + "msc.messages_sent", [ms = &m]() {
+        statsReg.add_gauge({id, "msc.messages_sent"}, [ms = &m]() {
             return ms->putsSent + ms->getsSent + ms->sendsSent;
         });
 
-        auto add_queue = [&](const char *name,
-                             const CommandQueue &q) {
+        auto add_queue = [&](const auto &n, const CommandQueue &q) {
             const QueueStats &qs = q.stats();
-            std::string qp = p + "msc." + name + ".";
-            statsReg.add_counter(qp + "pushes", &qs.pushes);
-            statsReg.add_counter(qp + "pops", &qs.pops);
-            statsReg.add_counter(qp + "spills", &qs.spills);
-            statsReg.add_counter(qp + "refill_interrupts",
-                                 &qs.refillInterrupts);
-            statsReg.add_gauge(qp + "max_hw_depth", &qs.maxHwDepth);
-            statsReg.add_gauge(qp + "max_spill_depth",
-                               &qs.maxSpillDepth);
+            statsReg.add_counter({id, n[0]}, &qs.pushes);
+            statsReg.add_counter({id, n[1]}, &qs.pops);
+            statsReg.add_counter({id, n[2]}, &qs.spills);
+            statsReg.add_counter({id, n[3]}, &qs.refillInterrupts);
+            statsReg.add_gauge({id, n[4]}, &qs.maxHwDepth);
+            statsReg.add_gauge({id, n[5]}, &qs.maxSpillDepth);
         };
-        add_queue("user_queue", c->msc().user_queue());
-        add_queue("system_queue", c->msc().system_queue());
-        add_queue("remote_queue", c->msc().remote_queue());
-        add_queue("get_reply_queue", c->msc().get_reply_queue());
-        add_queue("load_reply_queue", c->msc().load_reply_queue());
+        add_queue(userQ, c->msc().user_queue());
+        add_queue(systemQ, c->msc().system_queue());
+        add_queue(remoteQ, c->msc().remote_queue());
+        add_queue(getReplyQ, c->msc().get_reply_queue());
+        add_queue(loadReplyQ, c->msc().load_reply_queue());
 
         const McStats &mc = c->mc().stats();
-        statsReg.add_counter(p + "mc.flag_increments",
+        statsReg.add_counter({id, "mc.flag_increments"},
                              &mc.flagIncrements);
-        statsReg.add_counter(p + "mc.flag_faults", &mc.flagFaults);
-        statsReg.add_counter(p + "mc.loads", &mc.loads);
-        statsReg.add_counter(p + "mc.stores", &mc.stores);
-        statsReg.add_counter(p + "mc.access_faults",
+        statsReg.add_counter({id, "mc.flag_faults"}, &mc.flagFaults);
+        statsReg.add_counter({id, "mc.loads"}, &mc.loads);
+        statsReg.add_counter({id, "mc.stores"}, &mc.stores);
+        statsReg.add_counter({id, "mc.access_faults"},
                              &mc.accessFaults);
 
         const CommRegStats &cr = c->mc().regs().stats();
-        statsReg.add_counter(p + "commreg.stores", &cr.stores);
-        statsReg.add_counter(p + "commreg.loads", &cr.loads);
-        statsReg.add_counter(p + "commreg.stalled_loads",
+        statsReg.add_counter({id, "commreg.stores"}, &cr.stores);
+        statsReg.add_counter({id, "commreg.loads"}, &cr.loads);
+        statsReg.add_counter({id, "commreg.stalled_loads"},
                              &cr.stalledLoads);
 
         const TlbStats &tlb = c->mc().mmu().stats();
-        statsReg.add_counter(p + "mmu.tlb_hits", &tlb.hits);
-        statsReg.add_counter(p + "mmu.tlb_misses", &tlb.misses);
-        statsReg.add_counter(p + "mmu.page_faults", &tlb.faults);
+        statsReg.add_counter({id, "mmu.tlb_hits"}, &tlb.hits);
+        statsReg.add_counter({id, "mmu.tlb_misses"}, &tlb.misses);
+        statsReg.add_counter({id, "mmu.page_faults"}, &tlb.faults);
 
         const RingBufferStats &rb = c->ring().stats();
-        statsReg.add_counter(p + "ring.deposits", &rb.deposits);
-        statsReg.add_counter(p + "ring.receives", &rb.receives);
-        statsReg.add_counter(p + "ring.copies", &rb.copies);
-        statsReg.add_counter(p + "ring.in_place_reads",
+        statsReg.add_counter({id, "ring.deposits"}, &rb.deposits);
+        statsReg.add_counter({id, "ring.receives"}, &rb.receives);
+        statsReg.add_counter({id, "ring.copies"}, &rb.copies);
+        statsReg.add_counter({id, "ring.in_place_reads"},
                              &rb.inPlaceReads);
-        statsReg.add_counter(p + "ring.grow_interrupts",
+        statsReg.add_counter({id, "ring.grow_interrupts"},
                              &rb.growInterrupts);
-        statsReg.add_gauge(p + "ring.max_depth", &rb.maxDepth);
-        statsReg.add_gauge(p + "ring.max_bytes", &rb.maxBytes);
+        statsReg.add_gauge({id, "ring.max_depth"}, &rb.maxDepth);
+        statsReg.add_gauge({id, "ring.max_bytes"}, &rb.maxBytes);
 
         if (cfg.faults.any()) {
             const sim::FaultInjector::HoldStats &h =
-                faultInj.hold_stats(c->id());
-            statsReg.add_gauge(p + "fault.held_high_water",
+                faultInj.hold_stats(id);
+            statsReg.add_gauge({id, "fault.held_high_water"},
                                &h.heldHighWater);
-            statsReg.add_counter(p + "fault.dup_evictions",
+            statsReg.add_counter({id, "fault.dup_evictions"},
                                  &h.dupEvictions);
-            statsReg.add_counter(p + "fault.reorder_evictions",
+            statsReg.add_counter({id, "fault.reorder_evictions"},
                                  &h.reorderEvictions);
         }
 
         if (rnetNet) {
-            const net::RnetStats &rn = rnetNet->stats(c->id());
-            statsReg.add_counter(p + "rnet.data_sent", &rn.dataSent);
-            statsReg.add_counter(p + "rnet.retransmits",
+            const net::RnetStats &rn = rnetNet->stats(id);
+            statsReg.add_counter({id, "rnet.data_sent"}, &rn.dataSent);
+            statsReg.add_counter({id, "rnet.retransmits"},
                                  &rn.retransmits);
-            statsReg.add_counter(p + "rnet.acks_piggybacked",
+            statsReg.add_counter({id, "rnet.acks_piggybacked"},
                                  &rn.acksPiggybacked);
-            statsReg.add_counter(p + "rnet.queued_full",
+            statsReg.add_counter({id, "rnet.queued_full"},
                                  &rn.queuedFull);
-            statsReg.add_gauge(p + "rnet.window_high_water",
+            statsReg.add_gauge({id, "rnet.window_high_water"},
                                &rn.windowHighWater);
-            statsReg.add_counter(p + "rnet.aborted",
+            statsReg.add_counter({id, "rnet.aborted"},
                                  &rn.abortedMsgs);
-            statsReg.add_counter(p + "rnet.dup_drops", &rn.dupDrops);
-            statsReg.add_counter(p + "rnet.ooo_buffered",
+            statsReg.add_counter({id, "rnet.dup_drops"}, &rn.dupDrops);
+            statsReg.add_counter({id, "rnet.ooo_buffered"},
                                  &rn.oooBuffered);
-            statsReg.add_counter(p + "rnet.ooo_evictions",
+            statsReg.add_counter({id, "rnet.ooo_evictions"},
                                  &rn.oooEvictions);
-            statsReg.add_counter(p + "rnet.checksum_drops",
+            statsReg.add_counter({id, "rnet.checksum_drops"},
                                  &rn.checksumDrops);
-            statsReg.add_counter(p + "rnet.acks_sent", &rn.acksSent);
-            statsReg.add_histogram(p + "rnet.ack_latency_us",
+            statsReg.add_counter({id, "rnet.acks_sent"}, &rn.acksSent);
+            statsReg.add_histogram({id, "rnet.ack_latency_us"},
                                    &rn.ackLatencyUs);
         }
     }

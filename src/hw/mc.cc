@@ -49,17 +49,10 @@ bool
 Mc::load(Addr addr, std::span<std::uint8_t> buf)
 {
     ++mcStats.loads;
-    std::vector<std::uint8_t> tmp;
-    DmaResult r = DmaEngine::gather(
-        mmuUnit, mem, addr,
-        net::StrideSpec::contiguous(
-            static_cast<std::uint32_t>(buf.size())),
-        tmp);
-    if (!r.ok) {
+    if (!DmaEngine::read_run(mmuUnit, mem, addr, buf).ok) {
         ++mcStats.accessFaults;
         return false;
     }
-    std::copy(tmp.begin(), tmp.end(), buf.begin());
     return true;
 }
 
@@ -67,12 +60,7 @@ bool
 Mc::store(Addr addr, std::span<const std::uint8_t> buf)
 {
     ++mcStats.stores;
-    DmaResult r = DmaEngine::scatter(
-        mmuUnit, mem, addr,
-        net::StrideSpec::contiguous(
-            static_cast<std::uint32_t>(buf.size())),
-        buf);
-    if (!r.ok) {
+    if (!DmaEngine::write_run(mmuUnit, mem, addr, buf).ok) {
         ++mcStats.accessFaults;
         return false;
     }

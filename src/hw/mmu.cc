@@ -1,5 +1,7 @@
 #include "hw/mmu.hh"
 
+#include <algorithm>
+
 #include "base/logging.hh"
 
 namespace ap::hw
@@ -14,11 +16,64 @@ page_mask(std::size_t bits)
     return (Addr{1} << bits) - 1;
 }
 
+constexpr std::uint64_t pte_valid = 1;
+constexpr std::uint64_t pte_writable = 2;
+
+constexpr std::uint64_t
+make_pte(Addr pframe, bool writable)
+{
+    return (pframe << 2) | (writable ? pte_writable : 0) | pte_valid;
+}
+
+constexpr Addr
+pte_frame(std::uint64_t e)
+{
+    return e >> 2;
+}
+
+constexpr bool
+pte_writable_bit(std::uint64_t e)
+{
+    return (e & pte_writable) != 0;
+}
+
+/** Orders page-table directory entries by their top-level index. */
+constexpr auto top_below = [](const auto &d, Addr top) {
+    return d.top < top;
+};
+
 } // namespace
 
-Mmu::Mmu()
-    : smallTlb(small_tlb_entries), largeTlb(large_tlb_entries)
+const Mmu::PageTable::DirEntry *
+Mmu::PageTable::find(Addr top) const
 {
+    auto it = std::lower_bound(dir.begin(), dir.end(), top, top_below);
+    return it != dir.end() && it->top == top ? &*it : nullptr;
+}
+
+Mmu::Pte
+Mmu::PageTable::get(Addr vpn) const
+{
+    const DirEntry *d = find(vpn >> leaf_bits);
+    return d ? (*d->leaf)[vpn & (leaf_entries - 1)] : 0;
+}
+
+Mmu::Pte &
+Mmu::PageTable::slot(Addr vpn)
+{
+    Addr top = vpn >> leaf_bits;
+    auto it = std::lower_bound(dir.begin(), dir.end(), top, top_below);
+    if (it == dir.end() || it->top != top)
+        it = dir.insert(it, DirEntry{top, std::make_unique<Leaf>()});
+    return (*it->leaf)[vpn & (leaf_entries - 1)];
+}
+
+void
+Mmu::PageTable::clear(Addr vpn)
+{
+    const DirEntry *d = find(vpn >> leaf_bits);
+    if (d)
+        (*d->leaf)[vpn & (leaf_entries - 1)] = 0;
 }
 
 void
@@ -31,16 +86,15 @@ Mmu::map(Addr vaddr, Addr paddr, bool large, bool writable)
     if (paddr & page_mask(bits))
         fatal("map: physical %#llx not aligned to %zu-bit page",
               static_cast<unsigned long long>(paddr), bits);
-    Addr vpn = vaddr >> bits;
-    table[(vpn << 1) | (large ? 1 : 0)] =
-        PageEntry{paddr >> bits, large, writable};
+    (large ? largeTable : smallTable).slot(vaddr >> bits) =
+        make_pte(paddr >> bits, writable);
 }
 
 void
 Mmu::unmap(Addr vaddr)
 {
-    table.erase((vaddr >> small_page_bits) << 1);
-    table.erase(((vaddr >> large_page_bits) << 1) | 1);
+    smallTable.clear(vaddr >> small_page_bits);
+    largeTable.clear(vaddr >> large_page_bits);
     flush_tlb();
 }
 
@@ -49,30 +103,23 @@ Mmu::map_linear(std::size_t bytes, bool writable)
 {
     Addr pages = (bytes + page_mask(small_page_bits)) >>
                  small_page_bits;
-    for (Addr p = 0; p < pages; ++p)
-        map(p << small_page_bits, p << small_page_bits, false,
-            writable);
+    // One fill per leaf.
+    for (Addr p = 0; p < pages;) {
+        Pte *e = &smallTable.slot(p);
+        Addr end = std::min(pages, (p | (PageTable::leaf_entries - 1)) + 1);
+        for (; p < end; ++p)
+            *e++ = make_pte(p, writable);
+    }
 }
 
-std::optional<Mmu::PageEntry>
-Mmu::lookup_table(Addr vaddr, Addr &vpn_out, bool &large_out) const
+Mmu::Pte
+Mmu::lookup_table(Addr vaddr, bool &large_out) const
 {
-    // Small pages take precedence; a large mapping acts as backstop.
-    Addr svpn = vaddr >> small_page_bits;
-    auto it = table.find(svpn << 1);
-    if (it != table.end()) {
-        vpn_out = svpn;
-        large_out = false;
-        return it->second;
-    }
-    Addr lvpn = vaddr >> large_page_bits;
-    it = table.find((lvpn << 1) | 1);
-    if (it != table.end()) {
-        vpn_out = lvpn;
-        large_out = true;
-        return it->second;
-    }
-    return std::nullopt;
+    large_out = false;
+    if (Pte e = smallTable.get(vaddr >> small_page_bits))
+        return e;
+    large_out = true;
+    return largeTable.get(vaddr >> large_page_bits);
 }
 
 Translation
@@ -113,34 +160,35 @@ Mmu::translate(Addr vaddr, bool write)
     }
 
     // TLB miss: walk the page table.
-    Addr vpn = 0;
     bool large = false;
-    auto entry = lookup_table(vaddr, vpn, large);
+    Pte entry = lookup_table(vaddr, large);
     if (!entry) {
         ++tlbStats.faults;
         return t;
     }
     ++tlbStats.misses;
-    if (write && !entry->writable) {
+    bool writable = pte_writable_bit(entry);
+    if (write && !writable) {
         ++tlbStats.faults;
         return t;
     }
 
     // Fill the appropriate TLB (direct-mapped replacement).
+    Addr pframe = pte_frame(entry);
     if (large) {
-        TlbEntry &e = largeTlb[vpn % large_tlb_entries];
-        e = TlbEntry{true, vpn, entry->pframe, entry->writable};
-        t.paddr = (entry->pframe << large_page_bits) |
+        largeTlb[lvpn % large_tlb_entries] =
+            TlbEntry{true, writable, lvpn, pframe};
+        t.paddr = (pframe << large_page_bits) |
                   (vaddr & page_mask(large_page_bits));
     } else {
-        TlbEntry &e = smallTlb[vpn % small_tlb_entries];
-        e = TlbEntry{true, vpn, entry->pframe, entry->writable};
-        t.paddr = (entry->pframe << small_page_bits) |
+        smallTlb[svpn % small_tlb_entries] =
+            TlbEntry{true, writable, svpn, pframe};
+        t.paddr = (pframe << small_page_bits) |
                   (vaddr & page_mask(small_page_bits));
     }
     t.valid = true;
     t.tlbHit = false;
-    t.writable = entry->writable;
+    t.writable = writable;
     return t;
 }
 
@@ -148,15 +196,14 @@ Translation
 Mmu::peek(Addr vaddr) const
 {
     Translation t;
-    Addr vpn = 0;
     bool large = false;
-    auto entry = lookup_table(vaddr, vpn, large);
+    Pte entry = lookup_table(vaddr, large);
     if (!entry)
         return t;
     std::size_t bits = large ? large_page_bits : small_page_bits;
     t.valid = true;
-    t.writable = entry->writable;
-    t.paddr = (entry->pframe << bits) | (vaddr & page_mask(bits));
+    t.writable = pte_writable_bit(entry);
+    t.paddr = (pte_frame(entry) << bits) | (vaddr & page_mask(bits));
     return t;
 }
 

@@ -13,9 +13,9 @@
 #ifndef AP_HW_MMU_HH
 #define AP_HW_MMU_HH
 
+#include <array>
 #include <cstdint>
-#include <optional>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "base/types.hh"
@@ -55,8 +55,6 @@ class Mmu
     static constexpr std::size_t small_tlb_entries = 256;
     static constexpr std::size_t large_tlb_entries = 64;
 
-    Mmu();
-
     /**
      * Map one page.
      * @param vaddr page-aligned logical address
@@ -95,28 +93,62 @@ class Mmu
     void flush_tlb();
 
   private:
-    struct PageEntry
+    /**
+     * A page-table entry packed into one word: frame << 2, bit 1 =
+     * writable, bit 0 = valid. Zero is "not mapped".
+     */
+    using Pte = std::uint64_t;
+
+    /**
+     * Two-level radix page table for one page size. The top level is
+     * a sorted array of populated leaves (the default 4 MB identity
+     * map fills exactly one); a leaf is allocated when a page in its
+     * range is first mapped, so a sparse high mapping costs one leaf.
+     */
+    class PageTable
     {
-        Addr pframe = 0;
-        bool large = false;
-        bool writable = false;
+      public:
+        static constexpr unsigned leaf_bits = 10;
+        static constexpr Addr leaf_entries = Addr{1} << leaf_bits;
+
+        /** Entry of @p vpn; 0 when unmapped. */
+        Pte get(Addr vpn) const;
+
+        /** The entry of @p vpn, for writing; allocates its leaf. The
+         *  rest of the leaf follows it in memory. */
+        Pte &slot(Addr vpn);
+
+        /** Clear the entry of @p vpn (allocates nothing). */
+        void clear(Addr vpn);
+
+      private:
+        using Leaf = std::array<Pte, leaf_entries>;
+        struct DirEntry
+        {
+            Addr top;
+            std::unique_ptr<Leaf> leaf;
+        };
+        const DirEntry *find(Addr top) const;
+
+        std::vector<DirEntry> dir;
     };
 
     struct TlbEntry
     {
         bool valid = false;
+        bool writable = false;
         Addr vpn = 0;
         Addr pframe = 0;
-        bool writable = false;
     };
 
-    std::optional<PageEntry> lookup_table(Addr vaddr, Addr &vpn_out,
-                                          bool &large_out) const;
+    /** Page-table lookup: small pages take precedence, a large
+     *  mapping acts as backstop. 0 = fault. */
+    Pte lookup_table(Addr vaddr, bool &large_out) const;
 
-    /** page table keyed by (vpn << 1) | large. */
-    std::unordered_map<Addr, PageEntry> table;
-    std::vector<TlbEntry> smallTlb;
-    std::vector<TlbEntry> largeTlb;
+    PageTable smallTable;
+    PageTable largeTable;
+    std::array<TlbEntry, small_tlb_entries> smallTlb{};
+    std::array<TlbEntry, large_tlb_entries> largeTlb{};
     TlbStats tlbStats;
 };
 

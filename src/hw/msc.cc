@@ -225,7 +225,7 @@ Msc::process(Command cmd, Tick start, Tick stream)
             local_fault(cmd.laddr);
             return;
         }
-        payload = pool.acquire();
+        payload = pool.acquire(cmd.localStride.total_bytes());
         DmaResult r = DmaEngine::gather(cell.mc().mmu(),
                                         cell.mc().memory(), cmd.laddr,
                                         cmd.localStride, payload);
@@ -242,7 +242,7 @@ Msc::process(Command cmd, Tick start, Tick stream)
                 local_fault(cmd.raddr);
                 return;
             }
-            payload = pool.acquire();
+            payload = pool.acquire(cmd.remoteStride.total_bytes());
             DmaResult r = DmaEngine::gather(
                 cell.mc().mmu(), cell.mc().memory(), cmd.raddr,
                 cmd.remoteStride, payload);

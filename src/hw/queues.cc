@@ -70,8 +70,7 @@ CommandQueue::refill()
     while (!spill.empty() &&
            (static_cast<int>(hw.size()) + 1) * Command::queue_words <=
                capacityWords) {
-        hw.push_back(std::move(spill.front()));
-        spill.pop_front();
+        hw.push_back(spill.pop_front());
         ++moved;
     }
     queueStats.maxHwDepth =
@@ -92,8 +91,7 @@ CommandQueue::pop()
 {
     if (hw.empty())
         panic("pop() on empty hardware queue (refill needed?)");
-    Command c = std::move(hw.front());
-    hw.pop_front();
+    Command c = hw.pop_front();
     ++queueStats.pops;
     return c;
 }

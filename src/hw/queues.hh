@@ -15,8 +15,8 @@
 #define AP_HW_QUEUES_HH
 
 #include <cstdint>
-#include <deque>
 
+#include "base/fifo.hh"
 #include "base/types.hh"
 #include "hw/command.hh"
 
@@ -95,8 +95,8 @@ class CommandQueue
   private:
     int capacityWords;
     bool refillScheduled = false;
-    std::deque<Command> hw;
-    std::deque<Command> spill;
+    Fifo<Command> hw;
+    Fifo<Command> spill;
     QueueStats queueStats;
 };
 

@@ -61,9 +61,7 @@ RingBuffer::find(CellId src, std::int32_t tag) const
 SendRecord
 RingBuffer::take(std::size_t index)
 {
-    SendRecord r = std::move(records[index]);
-    records.erase(records.begin() +
-                  static_cast<std::ptrdiff_t>(index));
+    SendRecord r = records.take(index);
     usedBytes -= r.payload.size();
     // The buffered wait: deposit to the matching RECEIVE/consume.
     if (spans && r.traceId != 0 && simPtr)

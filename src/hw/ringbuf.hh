@@ -18,10 +18,10 @@
 #define AP_HW_RINGBUF_HH
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
+#include "base/fifo.hh"
 #include "base/types.hh"
 #include "obs/span.hh"
 #include "obs/tracer.hh"
@@ -142,7 +142,7 @@ class RingBuffer
 
     std::size_t capacityBytes;
     std::size_t usedBytes = 0;
-    std::deque<SendRecord> records;
+    Fifo<SendRecord> records;
     sim::Condition arrival;
     RingBufferStats rbStats;
     obs::Tracer *tracer = nullptr;

@@ -1,7 +1,9 @@
 #include "obs/stats_registry.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
+#include <numeric>
 #include <utility>
 
 #include "base/logging.hh"
@@ -10,63 +12,308 @@
 namespace ap::obs
 {
 
-void
-StatsRegistry::add_counter(const std::string &path,
-                           const std::uint64_t *v)
+namespace
 {
-    entries[path] =
-        StatEntry{StatKind::counter, [v]() { return *v; }, nullptr};
+
+/** "<digits of c>." — the part of "cell<c>." after "cell". */
+std::string_view
+cell_digits(std::uint32_t c, char (&buf)[12])
+{
+    char *end = std::to_chars(buf, buf + 10, c).ptr;
+    *end++ = '.';
+    return {buf, static_cast<std::size_t>(end - buf)};
+}
+
+/** The allocation-free core of StatsRegistry::matches(). */
+bool
+match_segments(std::string_view pattern, std::string_view path)
+{
+    for (;;) {
+        std::size_t pd = pattern.find('.');
+        std::size_t sd = path.find('.');
+        std::string_view pseg = pattern.substr(0, pd);
+        if (pseg != "*" && pseg != path.substr(0, sd))
+            return false;
+        bool pend = pd == std::string_view::npos;
+        bool send = sd == std::string_view::npos;
+        if (pend || send)
+            return pend && send;
+        pattern.remove_prefix(pd + 1);
+        path.remove_prefix(sd + 1);
+    }
+}
+
+} // namespace
+
+StatPath::StatPath(std::string_view path) : name(path)
+{
+    if (!path.starts_with("cell"))
+        return;
+    std::size_t i = 4;
+    while (i < path.size() && i < 10 && path[i] >= '0' &&
+           path[i] <= '9')
+        ++i;
+    // Canonical decimal only, so the path round-trips exactly, and at
+    // most six digits (max_cell).
+    bool canonical = i > 4 && (i == 5 || path[4] != '0');
+    if (!canonical || i >= path.size() || path[i] != '.')
+        return;
+    std::uint32_t n = 0;
+    std::from_chars(path.data() + 4, path.data() + i, n);
+    cell = n;
+    name = path.substr(i + 1);
 }
 
 void
-StatsRegistry::add_gauge(const std::string &path,
+StatsRegistry::add(StatPath path, StatEntry stat)
+{
+    if (path.cell != StatPath::no_cell) {
+        if (path.cell > StatPath::max_cell)
+            panic("stats path of cell %u beyond cell %u", path.cell,
+                  StatPath::max_cell);
+        cellLimit = std::max(cellLimit, path.cell + 1);
+    }
+    entries.push_back(
+        Entry{path.cell, intern(path.name), false, std::move(stat)});
+    pending = true;
+}
+
+void
+StatsRegistry::reserve(std::size_t paths)
+{
+    entries.reserve(entries.size() + paths);
+}
+
+void
+StatsRegistry::add_counter(StatPath path, const std::uint64_t *v)
+{
+    add(path, StatEntry{StatKind::counter, [v]() { return *v; }, nullptr});
+}
+
+void
+StatsRegistry::add_gauge(StatPath path,
                          std::function<std::uint64_t()> fn)
 {
-    entries[path] =
-        StatEntry{StatKind::gauge, std::move(fn), nullptr};
+    add(path, StatEntry{StatKind::gauge, std::move(fn), nullptr});
 }
 
 void
-StatsRegistry::add_gauge(const std::string &path,
-                         const std::uint64_t *v)
+StatsRegistry::add_gauge(StatPath path, const std::uint64_t *v)
 {
-    entries[path] =
-        StatEntry{StatKind::gauge, [v]() { return *v; }, nullptr};
+    add(path, StatEntry{StatKind::gauge, [v]() { return *v; }, nullptr});
 }
 
 void
-StatsRegistry::add_histogram(const std::string &path,
-                             const Histogram *h)
+StatsRegistry::add_histogram(StatPath path, const Histogram *h)
 {
-    entries[path] = StatEntry{
-        StatKind::histogram, [h]() { return h->scalar().count(); },
-        h};
+    add(path, StatEntry{StatKind::histogram,
+                        [h]() { return h->scalar().count(); }, h});
+}
+
+std::uint32_t
+StatsRegistry::intern(std::string_view name)
+{
+    if ((nameSlices.size() + 1) * 2 > nameIndex.size()) {
+        // Rehash at half load.
+        std::vector<std::uint32_t> bigger(
+            std::max<std::size_t>(64, nameIndex.size() * 2), 0);
+        for (std::uint32_t id = 0; id < nameSlices.size(); ++id) {
+            std::size_t h = std::hash<std::string_view>{}(name_of(id));
+            while (bigger[h & (bigger.size() - 1)] != 0)
+                ++h;
+            bigger[h & (bigger.size() - 1)] = id + 1;
+        }
+        nameIndex.swap(bigger);
+    }
+    std::size_t mask = nameIndex.size() - 1;
+    for (std::size_t h = std::hash<std::string_view>{}(name);; ++h) {
+        std::uint32_t &slot = nameIndex[h & mask];
+        if (slot == 0) {
+            auto id = static_cast<std::uint32_t>(nameSlices.size());
+            nameSlices.emplace_back(
+                static_cast<std::uint32_t>(nameChars.size()),
+                static_cast<std::uint32_t>(name.size()));
+            nameChars.append(name);
+            slot = id + 1;
+            return id;
+        }
+        if (name_of(slot - 1) == name)
+            return slot - 1;
+    }
+}
+
+std::uint32_t
+StatsRegistry::name_id(std::string_view name) const
+{
+    if (nameIndex.empty())
+        return UINT32_MAX;
+    std::size_t mask = nameIndex.size() - 1;
+    for (std::size_t h = std::hash<std::string_view>{}(name);; ++h) {
+        std::uint32_t slot = nameIndex[h & mask];
+        if (slot == 0)
+            return UINT32_MAX;
+        if (name_of(slot - 1) == name)
+            return slot - 1;
+    }
+}
+
+std::string_view
+StatsRegistry::name_of(std::uint32_t id) const
+{
+    auto [off, len] = nameSlices[id];
+    return std::string_view(nameChars).substr(off, len);
+}
+
+void
+StatsRegistry::path_of(const Entry &e, std::string &out) const
+{
+    out.clear();
+    if (e.cell != StatPath::no_cell) {
+        char buf[12];
+        out += "cell";
+        out += cell_digits(e.cell, buf);
+    }
+    out += name_of(e.name);
+}
+
+std::uint64_t
+StatsRegistry::key(const Entry &e) const
+{
+    if (e.cell == StatPath::no_cell)
+        return std::uint64_t{nameGroup[e.name]} << 32;
+    return (std::uint64_t{cellGroup[e.cell]} << 32) | (nameRank[e.name] + 1);
+}
+
+void
+StatsRegistry::rank() const
+{
+    // A path is its group — a plain path, or a "cell<N>." prefix —
+    // plus, for a cell path, its name. No plain path starts with a
+    // cell prefix (it would have parsed as a cell path) and no cell
+    // prefix is a prefix of another, so groups order like the paths
+    // in them, and within a cell group the names decide.
+    std::uint32_t names = static_cast<std::uint32_t>(nameSlices.size());
+    std::vector<std::uint32_t> order(names);
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(),
+              [this](std::uint32_t x, std::uint32_t y) {
+                  return name_of(x) < name_of(y);
+              });
+    nameRank.resize(names);
+    for (std::uint32_t r = 0; r < names; ++r)
+        nameRank[order[r]] = r;
+
+    // Group items: ids below `names` are plain names, the rest cells.
+    std::vector<std::string> prefixes(cellLimit);
+    for (std::uint32_t c = 0; c < cellLimit; ++c) {
+        char buf[12];
+        prefixes[c] = "cell";
+        prefixes[c] += cell_digits(c, buf);
+    }
+    auto group = [&](std::uint32_t g) {
+        return g < names ? name_of(g)
+                         : std::string_view(prefixes[g - names]);
+    };
+    order.resize(names + cellLimit);
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(),
+              [&](std::uint32_t x, std::uint32_t y) {
+                  return group(x) < group(y);
+              });
+    nameGroup.resize(names);
+    cellGroup.resize(cellLimit);
+    for (std::uint32_t r = 0; r < order.size(); ++r) {
+        if (order[r] < names)
+            nameGroup[order[r]] = r;
+        else
+            cellGroup[order[r] - names] = r;
+    }
+}
+
+void
+StatsRegistry::settle(bool compact) const
+{
+    if (pending) {
+        rank();
+        // Sort by path, then by registration: the last registration
+        // of a path replaces earlier ones.
+        std::vector<std::pair<std::uint64_t, std::uint32_t>> order;
+        order.reserve(entries.size());
+        for (std::uint32_t i = 0; i < entries.size(); ++i)
+            order.emplace_back(key(entries[i]), i);
+        std::sort(order.begin(), order.end());
+        std::vector<Entry> sorted;
+        sorted.reserve(order.size());
+        for (std::size_t i = 0; i < order.size(); ++i) {
+            Entry &e = entries[order[i].second];
+            if (e.removed || (i + 1 < order.size() &&
+                              order[i + 1].first == order[i].first))
+                continue;
+            sorted.push_back(std::move(e));
+        }
+        entries.swap(sorted);
+        pending = false;
+        removedCount = 0;
+    } else if (compact && removedCount > 0) {
+        std::erase_if(entries, [](const Entry &e) { return e.removed; });
+        removedCount = 0;
+    }
 }
 
 void
 StatsRegistry::remove_prefix(const std::string &prefix)
 {
-    auto it = entries.lower_bound(prefix);
-    while (it != entries.end() &&
-           it->first.compare(0, prefix.size(), prefix) == 0)
-        it = entries.erase(it);
+    settle(false);
+    auto it = std::partition_point(
+        entries.begin(), entries.end(), [&](const Entry &e) {
+            path_of(e, scratch);
+            return scratch < prefix;
+        });
+    for (; it != entries.end(); ++it) {
+        path_of(*it, scratch);
+        if (!scratch.starts_with(prefix))
+            break;
+        if (!it->removed) {
+            it->removed = true;
+            ++removedCount;
+        }
+    }
+}
+
+std::size_t
+StatsRegistry::size() const
+{
+    settle();
+    return entries.size();
 }
 
 std::vector<std::string>
 StatsRegistry::paths() const
 {
+    settle();
     std::vector<std::string> out;
     out.reserve(entries.size());
-    for (const auto &[path, entry] : entries)
-        out.push_back(path);
+    for (const Entry &e : entries) {
+        path_of(e, scratch);
+        out.push_back(scratch);
+    }
     return out;
 }
 
 const StatEntry *
 StatsRegistry::find(const std::string &path) const
 {
-    auto it = entries.find(path);
-    return it == entries.end() ? nullptr : &it->second;
+    settle();
+    StatPath p(path);
+    std::uint32_t id = name_id(p.name);
+    if (id == UINT32_MAX ||
+        (p.cell != StatPath::no_cell && p.cell >= cellLimit))
+        return nullptr;
+    std::uint64_t k = key(Entry{p.cell, id, false, {}});
+    auto it = std::lower_bound(
+        entries.begin(), entries.end(), k,
+        [this](const Entry &e, std::uint64_t x) { return key(e) < x; });
+    return it != entries.end() && key(*it) == k ? &it->stat : nullptr;
 }
 
 std::uint64_t
@@ -80,22 +327,18 @@ bool
 StatsRegistry::matches(const std::string &pattern,
                        const std::string &path)
 {
-    std::size_t pa = 0, sa = 0;
-    for (;;) {
-        std::size_t pd = pattern.find('.', pa);
-        std::size_t sd = path.find('.', sa);
-        std::string pseg = pattern.substr(
-            pa, pd == std::string::npos ? pd : pd - pa);
-        std::string sseg =
-            path.substr(sa, sd == std::string::npos ? sd : sd - sa);
-        if (pseg != "*" && pseg != sseg)
-            return false;
-        bool pend = pd == std::string::npos;
-        bool send = sd == std::string::npos;
-        if (pend || send)
-            return pend && send;
-        pa = pd + 1;
-        sa = sd + 1;
+    return match_segments(pattern, path);
+}
+
+template <typename F>
+void
+StatsRegistry::each_match(const std::string &pattern, F f) const
+{
+    settle();
+    for (const Entry &e : entries) {
+        path_of(e, scratch);
+        if (match_segments(pattern, scratch))
+            f(e);
     }
 }
 
@@ -103,9 +346,7 @@ std::uint64_t
 StatsRegistry::sum(const std::string &pattern) const
 {
     std::uint64_t total = 0;
-    for (const auto &[path, entry] : entries)
-        if (matches(pattern, path))
-            total += entry.value();
+    each_match(pattern, [&](const Entry &e) { total += e.stat.value(); });
     return total;
 }
 
@@ -115,38 +356,42 @@ StatsRegistry::max_over(const std::string &pattern,
 {
     std::uint64_t best = 0;
     bool any = false;
-    for (const auto &[path, entry] : entries) {
-        if (!matches(pattern, path))
-            continue;
-        std::uint64_t v = entry.value();
+    each_match(pattern, [&](const Entry &e) {
+        std::uint64_t v = e.stat.value();
         if (!any || v > best) {
             best = v;
             if (who)
-                *who = path;
+                path_of(e, *who);
         }
         any = true;
-    }
+    });
     return best;
 }
 
 StatsRegistry::Snapshot
 StatsRegistry::snapshot() const
 {
+    settle();
     Snapshot snap;
-    for (const auto &[path, entry] : entries)
-        snap[path] = entry.value();
+    for (const Entry &e : entries) {
+        path_of(e, scratch);
+        snap.emplace_hint(snap.end(), scratch, e.stat.value());
+    }
     return snap;
 }
 
 std::map<std::string, std::int64_t>
 StatsRegistry::delta_since(const Snapshot &before) const
 {
+    settle();
     std::map<std::string, std::int64_t> d;
-    for (const auto &[path, entry] : entries) {
-        auto it = before.find(path);
+    for (const Entry &e : entries) {
+        path_of(e, scratch);
+        auto it = before.find(scratch);
         std::uint64_t was = it == before.end() ? 0 : it->second;
-        d[path] = static_cast<std::int64_t>(entry.value()) -
-                  static_cast<std::int64_t>(was);
+        d.emplace_hint(d.end(), scratch,
+                       static_cast<std::int64_t>(e.stat.value()) -
+                           static_cast<std::int64_t>(was));
     }
     return d;
 }
@@ -228,14 +473,16 @@ std::string
 StatsRegistry::dump_json(bool pretty,
                          const std::string &skipPrefix) const
 {
+    settle();
     JsonTree tree;
-    for (const auto &[path, entry] : entries) {
-        if (has_prefix(path, skipPrefix))
+    for (const Entry &e : entries) {
+        path_of(e, scratch);
+        if (has_prefix(scratch, skipPrefix))
             continue;
-        if (entry.kind == StatKind::histogram)
-            tree.set_raw(path, histogram_json(*entry.hist));
+        if (e.stat.kind == StatKind::histogram)
+            tree.set_raw(scratch, histogram_json(*e.stat.hist));
         else
-            tree.set(path, entry.value());
+            tree.set(scratch, e.stat.value());
     }
     return tree.render(pretty);
 }
@@ -243,20 +490,23 @@ StatsRegistry::dump_json(bool pretty,
 std::string
 StatsRegistry::dump_text(const std::string &skipPrefix) const
 {
+    settle();
     std::string out;
-    for (const auto &[path, entry] : entries) {
-        if (has_prefix(path, skipPrefix))
+    for (const Entry &e : entries) {
+        path_of(e, scratch);
+        if (has_prefix(scratch, skipPrefix))
             continue;
-        if (entry.kind == StatKind::histogram) {
-            const Accumulator &a = entry.hist->scalar();
+        if (e.stat.kind == StatKind::histogram) {
+            const Accumulator &a = e.stat.hist->scalar();
             out += strprintf(
-                "%-48s count=%llu mean=%.2f max=%.0f\n", path.c_str(),
+                "%-48s count=%llu mean=%.2f max=%.0f\n",
+                scratch.c_str(),
                 static_cast<unsigned long long>(a.count()), a.mean(),
                 a.max());
         } else {
-            out += strprintf("%-48s %llu\n", path.c_str(),
+            out += strprintf("%-48s %llu\n", scratch.c_str(),
                              static_cast<unsigned long long>(
-                                 entry.value()));
+                                 e.stat.value()));
         }
     }
     return out;

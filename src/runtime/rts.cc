@@ -17,13 +17,13 @@ Runtime::Runtime(core::Context &ctx, AckPolicy policy)
     // The runtime is shorter-lived than the machine, so its counters
     // join the machine's registry here and leave in the destructor.
     obs::StatsRegistry &reg = ctx.owner().stats_registry();
-    std::string p = strprintf("cell%d.rts.", ctx.id());
-    reg.add_counter(p + "puts_issued", &rtStats.putsIssued);
-    reg.add_counter(p + "gets_issued", &rtStats.getsIssued);
-    reg.add_counter(p + "acks_issued", &rtStats.acksIssued);
-    reg.add_counter(p + "moves", &rtStats.moves);
-    reg.add_counter(p + "retried_puts", &rtStats.retriedPuts);
-    reg.add_counter(p + "verify_reads", &rtStats.verifyReads);
+    const int id = ctx.id();
+    reg.add_counter({id, "rts.puts_issued"}, &rtStats.putsIssued);
+    reg.add_counter({id, "rts.gets_issued"}, &rtStats.getsIssued);
+    reg.add_counter({id, "rts.acks_issued"}, &rtStats.acksIssued);
+    reg.add_counter({id, "rts.moves"}, &rtStats.moves);
+    reg.add_counter({id, "rts.retried_puts"}, &rtStats.retriedPuts);
+    reg.add_counter({id, "rts.verify_reads"}, &rtStats.verifyReads);
 }
 
 Runtime::~Runtime()

@@ -162,6 +162,9 @@ main(int argc, char **argv)
         serve::generate_stream(traffic);
     sched.schedule_stream(stream);
 
+    // Declared out here: the retry events reach it only through a weak
+    // reference, so it must outlive run_to_completion().
+    std::shared_ptr<std::function<void()>> fire;
     if (drill) {
         // Seeded and deterministic, but aimed, not blind: once the
         // fleet is warm (about a third into the expected stream) the
@@ -173,12 +176,12 @@ main(int argc, char **argv)
                     traffic.meanArrivalUs *
                         static_cast<double>(traffic.jobs) * 0.35;
         auto triesLeft = std::make_shared<int>(400);
-        auto fire = std::make_shared<std::function<void()>>();
+        fire = std::make_shared<std::function<void()>>();
         // The retry event holds a weak reference to the closure —
         // capturing `fire` itself would be a shared_ptr cycle (the
         // function owning itself) that never frees. The strong ref
-        // below outlives run_to_completion(), so lock() always
-        // succeeds while events can still fire.
+        // outlives run_to_completion(), so lock() always succeeds
+        // while events can still fire.
         std::weak_ptr<std::function<void()>> weakFire = fire;
         *fire = [&machine, &sched, seed, triesLeft, weakFire] {
             CellId victim = sched.pick_busy_cell(seed);

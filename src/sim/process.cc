@@ -170,11 +170,9 @@ Process::wait_until(Condition &cond, Tick deadline)
 void
 Condition::notify_all()
 {
-    if (parked.empty())
-        return;
-    std::vector<Process *> woken;
-    woken.swap(parked);
-    for (Process *p : woken) {
+    // Resumes are scheduled, never run inline, so nothing parks here
+    // during the loop; clearing afterwards keeps the capacity.
+    for (Process *p : parked) {
         p->parkedOn = nullptr;
         p->blockedTicks += p->sim.now() - p->parkStart;
         // Resume on the parked process's own shard: the notifier may
@@ -182,6 +180,7 @@ Condition::notify_all()
         p->sim.schedule_for(p->aff, p->sim.now(),
                             [p]() { p->resume_from_event(); });
     }
+    parked.clear();
 }
 
 } // namespace ap::sim

@@ -424,8 +424,9 @@ TEST(TickHistory, TruncationIsSurfacedNotSilent)
 TEST(BufferPool, RecyclesCapacityAndCountsTraffic)
 {
     hw::BufferPool pool;
-    std::vector<std::uint8_t> buf = pool.acquire();
+    std::vector<std::uint8_t> buf = pool.acquire(4096);
     EXPECT_TRUE(buf.empty());
+    EXPECT_GE(buf.capacity(), 4096u);
     EXPECT_EQ(pool.stats().misses, 1u);
 
     buf.resize(4096);
@@ -433,14 +434,39 @@ TEST(BufferPool, RecyclesCapacityAndCountsTraffic)
     pool.release(std::move(buf));
     EXPECT_EQ(pool.stats().releases, 1u);
 
-    std::vector<std::uint8_t> again = pool.acquire();
+    std::vector<std::uint8_t> again = pool.acquire(4000);
     EXPECT_TRUE(again.empty());
     EXPECT_GE(again.capacity(), 4096u);
     EXPECT_EQ(again.data(), raw); // the same allocation came back
     EXPECT_EQ(pool.stats().hits, 1u);
 }
 
-TEST(BufferPool, DiscardsOversizedAndOverflowBuffers)
+TEST(BufferPool, MissesReserveTheirSizeClass)
+{
+    hw::BufferPool pool;
+    // A 100-byte miss reserves 128, so the buffer serves the class
+    // of (64, 128]-byte requests when it comes back.
+    std::vector<std::uint8_t> b = pool.acquire(100);
+    EXPECT_EQ(b.capacity(), 128u);
+    const std::uint8_t *raw = b.data();
+    pool.release(std::move(b));
+    std::vector<std::uint8_t> c = pool.acquire(128);
+    EXPECT_EQ(c.data(), raw);
+    EXPECT_EQ(pool.stats().hits, 1u);
+}
+
+TEST(BufferPool, NeverHandsOutATooSmallBuffer)
+{
+    hw::BufferPool pool;
+    std::vector<std::uint8_t> small = pool.acquire(8);
+    pool.release(std::move(small));
+    std::vector<std::uint8_t> big = pool.acquire(16 * 1024);
+    EXPECT_GE(big.capacity(), 16u * 1024);
+    EXPECT_EQ(pool.stats().hits, 0u);
+    EXPECT_EQ(pool.stats().misses, 2u);
+}
+
+TEST(BufferPool, RetainsOnlyWhatWasOutstanding)
 {
     hw::BufferPool pool;
     // Capacity-zero releases are ignored entirely.
@@ -453,10 +479,23 @@ TEST(BufferPool, DiscardsOversizedAndOverflowBuffers)
     pool.release(std::move(huge));
     EXPECT_EQ(pool.stats().discards, 1u);
 
-    // Beyond max_retained parked buffers, further releases discard.
-    for (std::size_t i = 0; i < hw::BufferPool::max_retained + 8; ++i) {
-        std::vector<std::uint8_t> b(64);
-        pool.release(std::move(b));
-    }
+    // Foreign buffers of a class that never served an acquire are
+    // freed: nothing could ever hand them out again.
+    for (int i = 0; i < 8; ++i)
+        pool.release(std::vector<std::uint8_t>(8));
     EXPECT_EQ(pool.stats().discards, 1u + 8u);
+
+    // Four 64-byte buffers out at once: the class keeps at most four.
+    std::vector<std::vector<std::uint8_t>> out;
+    for (int i = 0; i < 4; ++i)
+        out.push_back(pool.acquire(64));
+    for (auto &b : out)
+        pool.release(std::move(b));
+    for (int i = 0; i < 6; ++i)
+        pool.release(std::vector<std::uint8_t>(64));
+    EXPECT_EQ(pool.stats().discards, 1u + 8u + 6u);
+    for (int i = 0; i < 4; ++i)
+        out[static_cast<std::size_t>(i)] = pool.acquire(64);
+    EXPECT_EQ(pool.stats().hits, 4u);
+    EXPECT_EQ(pool.stats().misses, 4u);
 }

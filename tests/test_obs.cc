@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <random>
 #include <sstream>
 
 #include "base/logging.hh"
@@ -20,6 +22,7 @@
 #include "obs/stats_registry.hh"
 #include "obs/tracer.hh"
 #include "runtime/rts.hh"
+#include "serve/scheduler.hh"
 #include "sim/eventq.hh"
 
 using namespace ap;
@@ -196,6 +199,115 @@ TEST(StatsRegistry, RuntimeRegistersAndUnregistersItsSubtree)
               nullptr);
     EXPECT_EQ(m.stats_registry().find("cell1.rts.puts_issued"),
               nullptr);
+}
+
+namespace
+{
+
+/**
+ * Rebuild @p reg path by path, in a seeded random order and with
+ * every seventh path first registered with a stale value that the
+ * second registration must replace, through the full-path
+ * add_gauge/add_histogram calls; every listing and dump of the copy
+ * must be byte-identical to the original.
+ */
+void
+expect_matches_path_by_path_copy(const obs::StatsRegistry &reg,
+                                 std::uint64_t seed)
+{
+    std::vector<std::string> paths = reg.paths();
+    std::vector<std::string> sorted = paths;
+    std::sort(sorted.begin(), sorted.end());
+    sorted.erase(std::unique(sorted.begin(), sorted.end()),
+                 sorted.end());
+    ASSERT_EQ(paths, sorted) << "paths() must be sorted and unique";
+    ASSERT_EQ(reg.size(), paths.size());
+
+    std::vector<std::string> order = paths;
+    std::shuffle(order.begin(), order.end(), std::mt19937_64(seed));
+    obs::StatsRegistry ref;
+    for (std::size_t i = 0; i < order.size(); ++i) {
+        const std::string &p = order[i];
+        const obs::StatEntry *e = reg.find(p);
+        ASSERT_NE(e, nullptr) << p;
+        if (i % 7 == 0)
+            ref.add_gauge(p, [] { return std::uint64_t{424242}; });
+        if (e->kind == obs::StatKind::histogram)
+            ref.add_histogram(p, e->hist);
+        else
+            ref.add_gauge(p, e->value);
+    }
+    EXPECT_EQ(ref.size(), reg.size());
+    EXPECT_EQ(ref.paths(), paths);
+    EXPECT_EQ(ref.snapshot(), reg.snapshot());
+    EXPECT_EQ(ref.dump_json(), reg.dump_json());
+    EXPECT_EQ(ref.dump_json(false, "sim."), reg.dump_json(false, "sim."));
+    EXPECT_EQ(ref.dump_text(), reg.dump_text());
+    for (const char *pat : {"*.msc.puts_sent", "*.rts.*", "cell10.*",
+                            "serve.job.*.attempts", "*.*.*"}) {
+        std::string whoA, whoB;
+        EXPECT_EQ(ref.sum(pat), reg.sum(pat)) << pat;
+        EXPECT_EQ(ref.max_over(pat, &whoA), reg.max_over(pat, &whoB))
+            << pat;
+        EXPECT_EQ(whoA, whoB) << pat;
+    }
+}
+
+} // namespace
+
+TEST(StatsRegistry, MachineRtsAndServeSubtreesMatchPathByPathCopy)
+{
+    hw::MachineConfig cfg = hw::MachineConfig::ap1000_plus(64);
+    cfg.retry.watchdogUs = 3000.0;
+    hw::Machine m(cfg);
+    const obs::StatsRegistry &reg = m.stats_registry();
+    // Per-cell registration must produce the same paths as full ones.
+    EXPECT_NE(reg.find("cell63.msc.user_queue.max_spill_depth"), nullptr);
+    EXPECT_NE(reg.find("cell7.mmu.tlb_misses"), nullptr);
+    EXPECT_EQ(reg.find("cell64.mmu.tlb_misses"), nullptr);
+    EXPECT_EQ(reg.find("cell07.mmu.tlb_misses"), nullptr);
+
+    // Machine + runtime subtrees, with some traffic behind them.
+    bool compared = false;
+    core::run_spmd(m, [&](core::Context &ctx) {
+        rt::Runtime rts(ctx);
+        Addr buf = ctx.alloc(256);
+        Addr flag = ctx.alloc_flag();
+        ctx.put((ctx.id() + 1) % ctx.nprocs(), buf, buf,
+                static_cast<std::uint32_t>(8 * (ctx.id() % 5 + 1)),
+                no_flag, flag);
+        ctx.wait_flag(flag, 1);
+        ctx.barrier();
+        if (ctx.id() == 0) {
+            EXPECT_NE(reg.find("cell42.rts.puts_issued"), nullptr);
+            expect_matches_path_by_path_copy(reg, 1);
+            compared = true;
+        }
+        ctx.barrier();
+    });
+    EXPECT_TRUE(compared);
+    EXPECT_EQ(reg.find("cell42.rts.puts_issued"), nullptr);
+
+    // Machine + serving subtrees, per-job paths included.
+    serve::GangScheduler sched(m, serve::ServeConfig{});
+    std::vector<serve::JobSpec> jobs;
+    for (int id = 0; id < 3; ++id) {
+        serve::JobSpec s;
+        s.id = id;
+        s.pw = 2;
+        s.ph = 2;
+        s.iters = 2;
+        s.bytes = 256;
+        s.computeUs = 20.0;
+        s.arrivalUs = ticks_to_us(m.sim().now()) + 10.0 * (id + 1);
+        s.seed = 7 + static_cast<std::uint64_t>(id);
+        jobs.push_back(s);
+    }
+    sched.schedule_stream(jobs);
+    m.run_to_completion();
+    sched.finalize();
+    EXPECT_NE(reg.find("serve.job.2.attempts"), nullptr);
+    expect_matches_path_by_path_copy(reg, 2);
 }
 
 // ------------------------------------------------------------ debug flags

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <random>
+
+#include "base/fifo.hh"
 #include "hw/queues.hh"
 
 using namespace ap;
@@ -182,6 +186,38 @@ TEST(CommandQueue, ForcedSpillsPreserveFifoAmongNormalPushes)
     ASSERT_EQ(order.size(), 12u);
     for (int i = 0; i < 12; ++i)
         EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+}
+
+TEST(Fifo, MatchesDequeAcrossWrapGrowthAndMiddleTakes)
+{
+    // Random pushes, pops and takes from either half, checked against
+    // std::deque, with the ring wrapped and grown many times over.
+    std::mt19937 rng(5);
+    Fifo<int> f;
+    std::deque<int> ref;
+    int next = 0;
+    std::size_t capacity = 0;
+    for (int op = 0; op < 20000; ++op) {
+        unsigned r = rng() % 8;
+        if (ref.empty() || r < 4) {
+            f.push_back(next);
+            ref.push_back(next++);
+        } else if (r < 6) {
+            ASSERT_EQ(f.pop_front(), ref.front());
+            ref.pop_front();
+        } else {
+            std::size_t i = rng() % ref.size();
+            ASSERT_EQ(f.take(i), ref[i]);
+            ref.erase(ref.begin() + static_cast<std::ptrdiff_t>(i));
+        }
+        ASSERT_EQ(f.size(), ref.size());
+        for (std::size_t i = 0; i < ref.size(); i += 7)
+            ASSERT_EQ(f[i], ref[i]);
+        // Capacity only ever grows, by doubling.
+        ASSERT_GE(f.capacity(), capacity);
+        capacity = f.capacity();
+    }
+    EXPECT_GT(capacity, Fifo<int>::initial_capacity);
 }
 
 TEST(CommandQueueDeath, TooSmallCapacityIsFatal)
